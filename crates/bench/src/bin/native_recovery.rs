@@ -17,7 +17,7 @@
 //! accumulating across the sweep. Each repetition also gets its own
 //! DFS directory so state never collides.
 
-use imapreduce::{FailureEvent, IterConfig};
+use imapreduce::{FaultEvent, IterConfig};
 use imr_algorithms::pagerank::{self, PageRankIter};
 use imr_bench::{report_metrics, BenchOpts, FigureResult};
 use imr_dfs::Dfs;
@@ -46,7 +46,7 @@ fn run_once(
     rep: usize,
     iters: usize,
     interval: usize,
-    failures: &[FailureEvent],
+    failures: &[FaultEvent],
 ) -> (f64, Vec<(u32, f64)>, u64, MetricsSnapshot) {
     // Shared registry, per-repetition counters: reset before the run so
     // the snapshot taken after it covers this repetition alone.
@@ -112,7 +112,7 @@ fn main() {
         "no-checkpoint failure-free baseline: {base_secs:.3} s"
     ));
 
-    let failure = [FailureEvent {
+    let failure = [FaultEvent::Kill {
         node: NodeId(1),
         at_iteration: fail_at,
     }];

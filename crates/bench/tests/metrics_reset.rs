@@ -4,7 +4,7 @@
 //! fault counters accumulate and every repetition after the first
 //! reports inflated numbers.
 
-use imapreduce::{FailureEvent, IterConfig};
+use imapreduce::{FaultEvent, IterConfig};
 use imr_algorithms::pagerank::{self, PageRankIter};
 use imr_dfs::Dfs;
 use imr_graph::dataset;
@@ -28,7 +28,7 @@ fn run_rep(r: &NativeRunner, rep: usize) {
     let out = format!("/pr{rep}/out");
     pagerank::load_pagerank_imr(r, &g, 4, &state, &stat).expect("load");
     let cfg = IterConfig::new("pr-reset", 4, 4).with_checkpoint_interval(2);
-    let failure = [FailureEvent {
+    let failure = [FaultEvent::Kill {
         node: NodeId(1),
         at_iteration: 2,
     }];

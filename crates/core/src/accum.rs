@@ -14,10 +14,10 @@
 //!
 //! This module holds the engine-independent pieces: the
 //! [`Accumulative`] job contract and the per-task [`DeltaStore`] with
-//! its priority batch selection. The round/termination drivers live in
-//! each engine (`engine.rs` for the simulator, `imr-native` for the
-//! thread/TCP backends) so they can reuse the engine's own collectives
-//! and checkpoint plumbing.
+//! its priority batch selection. A round's data work is
+//! `step::delta_send_step` + `step::delta_merge_step`, shared by every
+//! engine; the round scheduling and termination check live in each
+//! engine so they can use its own collectives and checkpoint plumbing.
 
 use crate::api::{Emitter, IterativeJob};
 use bytes::Bytes;

@@ -12,13 +12,14 @@
 //! The baseline comparison (Fig. 20) is a Hadoop user running the same
 //! detection as an extra synchronous MapReduce job between iterations.
 
-use crate::api::{IterativeJob, Mapping, StateInput};
+use crate::api::{IterativeJob, Mapping};
 use crate::config::IterConfig;
 use crate::engine::IterativeRunner;
+use crate::step::{map_step, reduce_step, SimCost};
 use bytes::Bytes;
-use imr_mapreduce::io::{num_parts, part_path, read_part};
-use imr_mapreduce::{Emitter, EngineError};
-use imr_records::{decode_pairs, encode_pairs, group_sorted, merge_runs, sort_run};
+use imr_mapreduce::io::{num_parts, read_part};
+use imr_mapreduce::EngineError;
+use imr_records::{encode_pairs, sort_run};
 use imr_simcluster::{RunReport, TaskClock, VInstant};
 
 /// The auxiliary phase: a distributed check over the main phase's
@@ -92,7 +93,8 @@ where
 
     // ---- Init: launch persistent pairs (+ aux pairs), load data ------
     let job_start = VInstant::EPOCH + cost.job_setup;
-    metrics.tasks_launched.add(4 * n as u64);
+    // The auxiliary pairs' tasks; `launch_pair` counts the main ones.
+    metrics.tasks_launched.add(2 * n as u64);
     assert_eq!(num_parts(runner.dfs(), static_dir), n);
     let state_parts = num_parts(runner.dfs(), state_dir);
 
@@ -102,12 +104,7 @@ where
     let mut state_ready: Vec<VInstant> = Vec::with_capacity(n);
     for p in 0..n {
         let node = assignment[p];
-        let speed = runner.cluster().speed(node);
-        let mut clock = TaskClock::starting_at(job_start + cost.task_launch);
-        let stat: Vec<(J::K, J::T)> = read_part(runner.dfs(), static_dir, p, node, &mut clock)?;
-        let sbytes = runner.dfs().len(&part_path(static_dir, p))?;
-        clock.advance(cost.serde_per_byte * sbytes);
-        clock.advance(cost.sort_time(stat.len() as u64, speed));
+        let (stat, sbytes, mut clock) = runner.launch_pair::<J>(static_dir, p, node, job_start)?;
         static_store.push(stat);
         static_bytes.push(sbytes);
         let mut all = Vec::new();
@@ -151,51 +148,14 @@ where
             let node = assignment[p];
             let speed = runner.cluster().speed(node);
             let mut clock = TaskClock::starting_at(gate);
-            let mut emitter = Emitter::new();
-            for (k, t) in &static_store[p] {
-                job.map(k, StateInput::All(&global_state), t, &mut emitter);
-            }
-            metrics.map_input_records.add(static_store[p].len() as u64);
-            let emitted = emitter.len() as u64;
-            clock.advance(cost.compute_time(
-                static_store[p].len() as u64 + emitted,
-                static_bytes[p] + state_bytes[p],
-                speed,
-            ));
-            let mut partitions: Vec<Vec<(J::K, J::S)>> = (0..n).map(|_| Vec::new()).collect();
-            for (k, v) in emitter.into_pairs() {
-                let t = job.partition(&k, n);
-                partitions[t].push((k, v));
-            }
-            let mut encoded = Vec::with_capacity(n);
-            let mut spill = 0u64;
-            for part in &mut partitions {
-                sort_run(part);
-                clock.advance(cost.sort_time(part.len() as u64, speed));
-                let final_part: Vec<(J::K, J::S)> = if job.has_combiner() {
-                    let grouped = group_sorted(std::mem::take(part));
-                    let mut combined = Vec::new();
-                    for (k, vals) in grouped {
-                        let nv = vals.len() as u64;
-                        for v in job.combine(&k, vals) {
-                            combined.push((k.clone(), v));
-                        }
-                        clock.advance(cost.compute_time(nv, 0, speed));
-                    }
-                    combined
-                } else {
-                    std::mem::take(part)
-                };
-                let seg = encode_pairs(&final_part);
-                spill += seg.len() as u64;
-                encoded.push(seg);
-            }
-            clock.advance(cost.serde_per_byte * spill);
-            clock.advance(cost.disk_time(spill));
+            let mut obs = SimCost::new(&mut clock, cost, speed)
+                .with_input_bytes(static_bytes[p] + state_bytes[p]);
+            let out = map_step(job, p, &static_store[p], &global_state, true, n, &mut obs);
+            metrics.map_input_records.add(out.records_in);
             let busy = clock.now().duration_since(gate);
             clock.advance(busy * cost.straggler(iter as u64, p as u64, 1));
             map_done.push(clock.now());
-            segments.push(encoded);
+            segments.push(out.segments);
         }
 
         // ---- Reduce phase ---------------------------------------------
@@ -207,12 +167,8 @@ where
             let speed = runner.cluster().speed(node);
             let mut clock = TaskClock::default();
             let mut arrivals = Vec::with_capacity(n);
-            let mut runs = Vec::with_capacity(n);
-            let mut fetched = 0u64;
             for p in 0..n {
-                let seg = &segments[p][q];
-                let bytes = seg.len() as u64;
-                fetched += bytes;
+                let bytes = segments[p][q].len() as u64;
                 arrivals
                     .push(map_done[p] + runner.cluster().transfer_time(assignment[p], node, bytes));
                 if assignment[p] == node {
@@ -220,21 +176,18 @@ where
                 } else {
                     metrics.shuffle_remote_bytes.add(bytes);
                 }
-                runs.push(decode_pairs::<J::K, J::S>(seg.clone())?);
             }
             clock.barrier(arrivals);
             let work_start = clock.now();
-            clock.advance(cost.serde_per_byte * fetched);
-            let total: u64 = runs.iter().map(|r| r.len() as u64).sum();
-            metrics.reduce_input_records.add(total);
-            let merged = merge_runs(runs);
-            let mut out = Vec::new();
-            for (k, vals) in group_sorted(merged) {
-                let nv = vals.len() as u64;
-                let s = job.reduce(&k, vals);
-                clock.advance(cost.compute_time(nv.div_ceil(3), 0, speed));
-                out.push((k, s));
-            }
+            let reduced = reduce_step(
+                job,
+                segments.iter().map(|row| row[q].clone()),
+                None,
+                None,
+                &mut SimCost::new(&mut clock, cost, speed).without_merge_cmps(),
+            )?;
+            metrics.reduce_input_records.add(reduced.records_in);
+            let out = reduced.state;
             let bytes = encode_pairs(&out).len() as u64;
             clock.advance(cost.serde_per_byte * bytes);
             let busy = clock.now().duration_since(work_start);
@@ -319,23 +272,12 @@ where
     let end = stop_signal.unwrap_or_else(|| {
         report.iteration_done.last().copied().unwrap_or(job_start) + cost.net_latency
     });
-    let mut finish = Vec::with_capacity(n);
-    let mut final_state: Vec<(J::K, J::S)> = Vec::new();
-    for q in 0..n {
-        let start = last_reduce_done[q].max(end);
-        let mut clock = TaskClock::starting_at(start);
-        let payload = encode_pairs(&final_out[q]);
-        runner.dfs().put(
-            &part_path(output_dir, q),
-            payload,
-            assignment[q],
-            &mut clock,
-        )?;
-        finish.push(clock.now());
-        final_state.extend(final_out[q].iter().cloned());
-    }
-    sort_run(&mut final_state);
-    report.finished = finish.into_iter().max().unwrap_or(end);
+    let outputs = final_out
+        .into_iter()
+        .enumerate()
+        .map(|(q, data)| (last_reduce_done[q].max(end), data));
+    let (final_state, finished) = runner.commit_output(output_dir, &assignment, outputs)?;
+    report.finished = finished;
     report.metrics = metrics.snapshot();
     Ok(AuxOutcome {
         report,

@@ -40,33 +40,22 @@ impl Default for LoadBalance {
     }
 }
 
-/// A scripted worker failure, used by fault-tolerance tests and the
-/// recovery experiments: `node` dies once iteration `at_iteration` has
-/// completed.
-///
-/// Both engines place pair `p` on `ClusterSpec::assign_pairs(n)[p]`, so
-/// an event naming a node kills the same task pairs everywhere. On the
-/// native backend the pairs hosted by `node` exit at that exact point
-/// and the supervisor replays from the last complete checkpoint epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FailureEvent {
-    /// The node that fails.
-    pub node: NodeId,
-    /// The iteration after which it fails (1-based).
-    pub at_iteration: usize,
-}
-
-/// A scripted runtime fault. Generalizes [`FailureEvent`] (a kill) with
-/// the two degraded-but-alive modes a watchdog must distinguish: a
-/// bounded slowdown ([`FaultEvent::Delay`], which healthy recovery must
-/// *not* react to) and an indefinite stall ([`FaultEvent::Hang`], which
-/// only stall detection can turn back into a recoverable failure).
+/// A scripted runtime fault, used by fault-tolerance tests and the
+/// recovery experiments: a crash ([`FaultEvent::Kill`]) and the two
+/// degraded-but-alive modes a watchdog must distinguish — a bounded
+/// slowdown ([`FaultEvent::Delay`], which healthy recovery must *not*
+/// react to) and an indefinite stall ([`FaultEvent::Hang`], which only
+/// stall detection can turn back into a recoverable failure).
 ///
 /// All three fire deterministically: the named node misbehaves once
-/// iteration `at_iteration` has completed on its pairs.
+/// iteration `at_iteration` has completed on its pairs. Both engines
+/// place pair `p` on `ClusterSpec::assign_pairs(n)[p]`, so an event
+/// naming a node hits the same task pairs everywhere; on the native
+/// backend a killed node's pairs exit at that exact point and the
+/// supervisor replays from the last complete checkpoint epoch.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultEvent {
-    /// The node crashes (exactly [`FailureEvent`] semantics).
+    /// The node crashes.
     Kill {
         /// The node that fails.
         node: NodeId,
@@ -113,15 +102,6 @@ impl FaultEvent {
             FaultEvent::Kill { at_iteration, .. }
             | FaultEvent::Delay { at_iteration, .. }
             | FaultEvent::Hang { at_iteration, .. } => at_iteration,
-        }
-    }
-}
-
-impl From<FailureEvent> for FaultEvent {
-    fn from(f: FailureEvent) -> Self {
-        FaultEvent::Kill {
-            node: f.node,
-            at_iteration: f.at_iteration,
         }
     }
 }
@@ -398,6 +378,29 @@ impl IterConfig {
     /// implied by one2all).
     pub fn effective_sync(&self) -> bool {
         self.sync_maps || self.mapping == Mapping::One2All
+    }
+
+    /// [`IterConfig::validate`], plus the check that the entry point
+    /// matches the mode: `accumulative` says whether the caller runs
+    /// the barrier-free delta loop (`run_accumulative`) or map/reduce
+    /// iterations (`run`).
+    pub fn validate_entry(
+        &self,
+        faults: &[FaultEvent],
+        accumulative: bool,
+    ) -> Result<(), EngineError> {
+        self.validate(faults)?;
+        match (self.accumulative, accumulative) {
+            (true, false) => Err(EngineError::Config(
+                "cfg.accumulative is set: use run_accumulative for barrier-free \
+                 delta-accumulative execution"
+                    .into(),
+            )),
+            (false, true) => Err(EngineError::Config(
+                "run_accumulative needs cfg.with_accumulative_mode()".into(),
+            )),
+            _ => Ok(()),
+        }
     }
 
     /// Checks this configuration against a fault schedule. Both engines
@@ -688,19 +691,11 @@ mod tests {
     }
 
     #[test]
-    fn fault_event_accessors_and_kill_conversion() {
-        let f: FaultEvent = FailureEvent {
+    fn fault_event_accessors() {
+        let f = FaultEvent::Kill {
             node: NodeId(3),
             at_iteration: 7,
-        }
-        .into();
-        assert_eq!(
-            f,
-            FaultEvent::Kill {
-                node: NodeId(3),
-                at_iteration: 7
-            }
-        );
+        };
         assert_eq!(f.node(), NodeId(3));
         assert_eq!(f.at_iteration(), 7);
     }

@@ -13,13 +13,14 @@
 //! fault tolerance with rollback (§3.4.1), and migration-based load
 //! balancing (§3.4.2).
 
-use crate::api::{IterativeJob, Mapping, StateInput};
-use crate::config::{FailureEvent, FaultEvent, IterConfig};
+use crate::api::{IterativeJob, Mapping};
+use crate::config::{FaultEvent, IterConfig};
+use crate::step::{delta_merge_step, delta_send_step, map_step, reduce_step, SimCost};
 use bytes::Bytes;
 use imr_dfs::Dfs;
 use imr_mapreduce::io::{num_parts, part_path, read_part};
-use imr_mapreduce::{Emitter, EngineError};
-use imr_records::{decode_pairs, encode_pairs, group_sorted, merge_runs, sort_run};
+use imr_mapreduce::EngineError;
+use imr_records::{encode_pairs, sort_run, Key, Value};
 use imr_simcluster::{
     ClusterSpec, MetricsHandle, NodeId, RunReport, TaskClock, VDuration, VInstant,
 };
@@ -176,36 +177,20 @@ impl IterativeRunner {
         self.cluster.node_pair_capacity(node)
     }
 
-    /// Runs `job` to termination.
+    /// Runs `job` to termination under a scripted fault schedule.
     ///
     /// * `state_dir` — `mapred.iterjob.statepath`: initial state parts,
     ///   partitioned with the job's partition function;
     /// * `static_dir` — `mapred.iterjob.staticpath`: static data parts,
     ///   co-partitioned with the state;
     /// * `output_dir` — final state parts are committed here;
-    /// * `failures` — scripted worker failures (kills) to inject. For
-    ///   delay/hang faults use [`IterativeRunner::run_faults`].
+    /// * `faults` — scripted faults ([`FaultEvent`]): kills recover
+    ///   through checkpoint rollback, delays charge lost processing time
+    ///   on the affected node's pairs, and hangs model watchdog
+    ///   detection — the stalled pair is declared failed only after the
+    ///   configured `stall_timeout` of virtual-time silence, then
+    ///   recovered the same way a kill is.
     pub fn run<J: IterativeJob>(
-        &self,
-        job: &J,
-        cfg: &IterConfig,
-        state_dir: &str,
-        static_dir: &str,
-        output_dir: &str,
-        failures: &[FailureEvent],
-    ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
-        let faults: Vec<FaultEvent> = failures.iter().map(|&f| f.into()).collect();
-        self.run_faults(job, cfg, state_dir, static_dir, output_dir, &faults)
-    }
-
-    /// Runs `job` to termination under a generalized fault schedule
-    /// ([`FaultEvent`]): kills recover through checkpoint rollback as in
-    /// [`IterativeRunner::run`], delays charge lost processing time on
-    /// the affected node's pairs, and hangs model watchdog detection —
-    /// the stalled pair is declared failed only after the configured
-    /// `stall_timeout` of virtual-time silence, then recovered the same
-    /// way a kill is.
-    pub fn run_faults<J: IterativeJob>(
         &self,
         job: &J,
         cfg: &IterConfig,
@@ -214,29 +199,11 @@ impl IterativeRunner {
         output_dir: &str,
         faults: &[FaultEvent],
     ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
-        cfg.validate(faults)?;
-        if cfg.accumulative {
-            return Err(EngineError::Config(
-                "cfg.accumulative is set: use run_accumulative for barrier-free \
-                 delta-accumulative execution"
-                    .into(),
-            ));
-        }
+        cfg.validate_entry(faults, false)?;
         let n = cfg.num_tasks;
-        assert!(
-            n <= self.pair_capacity(),
-            "persistent tasks need dedicated slots: {} pairs > capacity {}",
-            n,
-            self.pair_capacity()
-        );
-        assert_eq!(
-            num_parts(&self.dfs, static_dir),
-            n,
-            "static data must be pre-partitioned into num_tasks parts"
-        );
+        self.check_launch(n, static_dir);
         let cost = &self.cluster.cost;
         let one2all = cfg.mapping == Mapping::One2All;
-        self.metrics.jobs_launched.add(1);
 
         // ---- One-time initialization (persistent task launch + load) --
         let job_start = VInstant::EPOCH + cost.job_setup;
@@ -255,15 +222,8 @@ impl IterativeRunner {
         for p in 0..n {
             let node = assignment[p];
             let speed = self.cluster.speed(node);
-            let mut clock = TaskClock::starting_at(job_start);
-            // The pair's two persistent tasks launch concurrently.
-            clock.advance(cost.task_launch);
-            self.metrics.tasks_launched.add(2);
-
-            let stat: Vec<(J::K, J::T)> = read_part(&self.dfs, static_dir, p, node, &mut clock)?;
-            let sbytes = self.dfs.len(&part_path(static_dir, p))?;
-            clock.advance(cost.serde_per_byte * sbytes);
-            clock.advance(cost.sort_time(stat.len() as u64, speed));
+            let (stat, sbytes, mut clock) =
+                self.launch_pair::<J>(static_dir, p, node, job_start)?;
             static_store.push(stat);
             static_bytes.push(sbytes);
 
@@ -368,64 +328,15 @@ impl IterativeRunner {
                 let speed = self.cluster.speed(node);
                 let mut clock = TaskClock::starting_at(activation);
 
-                let mut emitter = Emitter::new();
-                let records_in: u64 = if one2all {
-                    for (k, t) in &static_store[p] {
-                        job.map(k, StateInput::All(&global_state), t, &mut emitter);
-                    }
-                    static_store[p].len() as u64
+                let state: &[(J::K, J::S)] = if one2all {
+                    &global_state
                 } else {
-                    // Eager sorted join of the state stream with the
-                    // local static store (§3.2.2). Both are key-sorted
-                    // and co-partitioned, so they zip exactly.
-                    assert_eq!(
-                        state_store[p].len(),
-                        static_store[p].len(),
-                        "state/static co-partitioning broken at pair {p}"
-                    );
-                    for ((ks, s), (kt, t)) in state_store[p].iter().zip(&static_store[p]) {
-                        assert!(ks == kt, "state/static keys diverged at pair {p}");
-                        job.map(ks, StateInput::One(s), t, &mut emitter);
-                    }
-                    state_store[p].len() as u64
+                    &state_store[p]
                 };
-                self.metrics.map_input_records.add(records_in);
-                let in_bytes = state_bytes[p] + static_bytes[p];
-                let emitted = emitter.len() as u64;
-                clock.advance(cost.compute_time(records_in + emitted, in_bytes, speed));
-
-                // Partition, sort, optionally combine, encode.
-                let mut partitions: Vec<Vec<(J::K, J::S)>> = (0..n).map(|_| Vec::new()).collect();
-                for (k, v) in emitter.into_pairs() {
-                    let t = job.partition(&k, n);
-                    partitions[t].push((k, v));
-                }
-                let mut encoded = Vec::with_capacity(n);
-                let mut spill = 0u64;
-                for part in &mut partitions {
-                    sort_run(part);
-                    clock.advance(cost.sort_time(part.len() as u64, speed));
-                    let final_part: Vec<(J::K, J::S)> = if job.has_combiner() {
-                        let grouped = group_sorted(std::mem::take(part));
-                        let mut combined = Vec::new();
-                        for (k, vals) in grouped {
-                            let nv = vals.len() as u64;
-                            for v in job.combine(&k, vals) {
-                                combined.push((k.clone(), v));
-                            }
-                            clock.advance(cost.compute_time(nv, 0, speed));
-                        }
-                        combined
-                    } else {
-                        std::mem::take(part)
-                    };
-                    let seg = encode_pairs(&final_part);
-                    spill += seg.len() as u64;
-                    encoded.push(seg);
-                }
-                // iMapReduce keeps intermediate data in files (§6).
-                clock.advance(cost.serde_per_byte * spill);
-                clock.advance(cost.disk_time(spill));
+                let mut obs = SimCost::new(&mut clock, cost, speed)
+                    .with_input_bytes(state_bytes[p] + static_bytes[p]);
+                let out = map_step(job, p, &static_store[p], state, one2all, n, &mut obs);
+                self.metrics.map_input_records.add(out.records_in);
                 // Deterministic straggler slowdown, keyed by iteration
                 // and task so sync/async variants face the same pattern.
                 let busy = clock.now().duration_since(activation);
@@ -433,7 +344,7 @@ impl IterativeRunner {
                 pair_busy[p] += clock.now().duration_since(activation).as_secs_f64();
                 // Pipelined consumption cannot outrun its producer.
                 map_done.push(clock.now().max(state_complete[p]));
-                segments.push(encoded);
+                segments.push(out.segments);
                 self.record(
                     TraceEvent::new(TraceKind::IterStart)
                         .at(activation.as_nanos())
@@ -470,13 +381,9 @@ impl IterativeRunner {
                 let node = assignment[q];
                 let speed = self.cluster.speed(node);
                 let mut clock = TaskClock::default();
-                let mut runs: Vec<Vec<(J::K, J::S)>> = Vec::with_capacity(n);
-                let mut fetched = 0u64;
                 let mut arrivals = Vec::with_capacity(n);
                 for p in 0..n {
-                    let seg = &segments[p][q];
-                    let bytes = seg.len() as u64;
-                    fetched += bytes;
+                    let bytes = segments[p][q].len() as u64;
                     arrivals
                         .push(map_done[p] + self.cluster.transfer_time(assignment[p], node, bytes));
                     if assignment[p] == node {
@@ -484,50 +391,30 @@ impl IterativeRunner {
                     } else {
                         self.metrics.shuffle_remote_bytes.add(bytes);
                     }
-                    runs.push(decode_pairs(seg.clone())?);
                 }
                 clock.barrier(arrivals);
                 let work_start = clock.now();
                 reduce_work_start.push(work_start);
-                clock.advance(cost.serde_per_byte * fetched);
-                let total_rec: u64 = runs.iter().map(|r| r.len() as u64).sum();
-                self.metrics.reduce_input_records.add(total_rec);
-                let merged = merge_runs(runs);
-                if n > 1 && total_rec > 0 {
-                    let cmps = total_rec as f64 * (n as f64).log2();
-                    clock.advance(cost.sort_per_cmp * cmps.round() as u64 * (1.0 / speed));
-                }
-
-                let mut reduced: Vec<(J::K, J::S)> = Vec::new();
-                for (k, vals) in group_sorted(merged) {
-                    let nv = vals.len() as u64;
-                    let s = job.reduce(&k, vals);
-                    clock.advance(cost.compute_time(nv.div_ceil(3), 0, speed));
-                    reduced.push((k, s));
-                }
-
-                // Keys that received no value this iteration keep their
-                // previous state (one2one only; under one2all the state
-                // space is whatever the reducers produce).
-                let new_state = if one2all {
-                    reduced
-                } else {
-                    carry_forward(reduced, &state_store[q])
-                };
-
                 // Local distance vs the previous snapshot (§3.1.2).
-                if cfg.termination.distance_threshold.is_some() {
-                    let prev: Option<&[(J::K, J::S)]> = if one2all {
-                        prev_out[q].as_deref()
-                    } else {
-                        Some(&state_store[q])
-                    };
-                    if let Some(prev) = prev {
-                        any_prev = true;
-                        iter_distance += distance_sorted(job, prev, &new_state);
-                        clock.advance(cost.compute_time(new_state.len() as u64, 0, speed));
-                    }
+                let prev: Option<&[(J::K, J::S)]> = match cfg.termination.distance_threshold {
+                    None => None,
+                    Some(_) if one2all => prev_out[q].as_deref(),
+                    Some(_) => Some(&state_store[q]),
+                };
+                let carry = (!one2all).then_some(&state_store[q][..]);
+                let out = reduce_step(
+                    job,
+                    segments.iter().map(|row| row[q].clone()),
+                    carry,
+                    prev,
+                    &mut SimCost::new(&mut clock, cost, speed),
+                )?;
+                self.metrics.reduce_input_records.add(out.records_in);
+                if let Some(d) = out.distance {
+                    any_prev = true;
+                    iter_distance += d;
                 }
+                let new_state = out.state;
 
                 let bytes = encode_pairs(&new_state).len() as u64;
                 clock.advance(cost.serde_per_byte * bytes);
@@ -681,19 +568,14 @@ impl IterativeRunner {
             if !done && cfg.checkpoint_interval > 0 && iter.is_multiple_of(cfg.checkpoint_interval)
             {
                 let dir = imr_dfs::snapshot_dir(output_dir, iter);
-                let ckpt_before = self.metrics.checkpoint_bytes.get();
-                self.write_checkpoint::<J>(
-                    &dir,
-                    &state_store,
-                    &global_state,
-                    one2all,
-                    &assignment,
-                )?;
-                let ckpt_written = self.metrics.checkpoint_bytes.get() - ckpt_before;
-                self.phase(
-                    Phase::CheckpointWrite,
-                    cost.disk_time(ckpt_written).as_nanos(),
-                );
+                let parts = state_store.iter().enumerate().map(|(q, part)| {
+                    encode_pairs(if one2all && q == 0 {
+                        &global_state
+                    } else {
+                        part
+                    })
+                });
+                self.write_checkpoint(&dir, parts, &assignment, iter_done, iter, generation)?;
                 if let Some(old) = ckpt.dfs_dir.take() {
                     imr_mapreduce::io::delete_dir(&self.dfs, &old);
                 }
@@ -704,28 +586,16 @@ impl IterativeRunner {
                     prev_out: prev_out.clone(),
                     dfs_dir: Some(dir),
                 };
-                for q in 0..n {
-                    self.record(
-                        TraceEvent::new(TraceKind::Checkpoint { epoch: iter as u64 })
-                            .at(iter_done.as_nanos())
-                            .tagged(
-                                assignment[q].index() as u32,
-                                q as u32,
-                                iter as u32,
-                                generation,
-                            ),
-                    );
-                }
             }
             if done {
                 break;
             }
 
             // ---- Failure injection + recovery ------------------------
-            if let Some(pos) = pending_failures
+            let fault = pending_failures
                 .iter()
-                .position(|f| f.at_iteration() == iter)
-            {
+                .position(|f| f.at_iteration() == iter);
+            let rollback = if let Some(pos) = fault {
                 let fault = pending_failures.remove(pos);
                 let detected_at = match fault {
                     // A crash is noticed at the master's next decision
@@ -770,35 +640,19 @@ impl IterativeRunner {
                     &mut static_store,
                     &mut static_bytes,
                 )?;
-                state_store = ckpt.state.clone();
-                global_state = ckpt.global_state.clone();
-                prev_out = ckpt.prev_out.clone();
-                for p in 0..n {
-                    state_ready[p] = recover_at;
-                    state_complete[p] = recover_at;
-                    state_bytes[p] = encode_pairs(if one2all {
-                        &global_state
-                    } else {
-                        &state_store[p]
-                    })
-                    .len() as u64;
-                }
-                self.flight_dump(output_dir, flight_seq, cfg.flight_window, assignment[0])?;
-                flight_seq += 1;
-                generation += 1;
-                report.iteration_done.truncate(ckpt.iter);
-                distances.truncate(ckpt.iter);
-                iter = ckpt.iter + 1;
-                continue;
-            }
-
-            // ---- Load balancing (§3.4.2) -----------------------------
-            if let Some(lb) = &cfg.load_balance {
-                if migrations < lb.max_migrations as u64 && n > 1 {
-                    if let Some((slow_pair, fast_node)) =
+                Some((recover_at, assignment[0]))
+            } else {
+                // ---- Load balancing (§3.4.2) -------------------------
+                let pick = cfg
+                    .load_balance
+                    .filter(|lb| migrations < lb.max_migrations as u64 && n > 1)
+                    .and_then(|lb| {
                         self.cluster
                             .pick_migration(&assignment, &pair_busy, lb.deviation)
-                    {
+                    });
+                match pick {
+                    None => None,
+                    Some((slow_pair, fast_node)) => {
                         migrations += 1;
                         self.metrics.migrations.add(1);
                         // Record the migration epoch next to the
@@ -824,7 +678,7 @@ impl IterativeRunner {
                                 generation,
                             ),
                         );
-                        let recover_at = self.migrate_pair::<J>(
+                        let recover_at = self.relaunch_pair::<J>(
                             slow_pair,
                             fast_node,
                             decision_time,
@@ -833,56 +687,49 @@ impl IterativeRunner {
                             &mut static_store,
                             &mut static_bytes,
                         )?;
-                        // Everyone rolls back to the latest checkpoint.
-                        state_store = ckpt.state.clone();
-                        global_state = ckpt.global_state.clone();
-                        prev_out = ckpt.prev_out.clone();
-                        for p in 0..n {
-                            state_ready[p] = recover_at;
-                            state_complete[p] = recover_at;
-                            state_bytes[p] = encode_pairs(if one2all {
-                                &global_state
-                            } else {
-                                &state_store[p]
-                            })
-                            .len() as u64;
-                        }
-                        self.flight_dump(output_dir, flight_seq, cfg.flight_window, fast_node)?;
-                        flight_seq += 1;
-                        generation += 1;
-                        report.iteration_done.truncate(ckpt.iter);
-                        distances.truncate(ckpt.iter);
-                        iter = ckpt.iter + 1;
-                        continue;
+                        Some((recover_at, fast_node))
                     }
                 }
+            };
+            let Some((recover_at, dump_node)) = rollback else {
+                iter += 1;
+                continue;
+            };
+            // Everyone rolls back to the latest checkpoint.
+            state_store = ckpt.state.clone();
+            global_state = ckpt.global_state.clone();
+            prev_out = ckpt.prev_out.clone();
+            for p in 0..n {
+                state_ready[p] = recover_at;
+                state_complete[p] = recover_at;
+                let state = if one2all {
+                    &global_state
+                } else {
+                    &state_store[p]
+                };
+                state_bytes[p] = encode_pairs(state).len() as u64;
             }
-
-            iter += 1;
+            self.flight_dump(output_dir, flight_seq, cfg.flight_window, dump_node)?;
+            flight_seq += 1;
+            generation += 1;
+            report.iteration_done.truncate(ckpt.iter);
+            distances.truncate(ckpt.iter);
+            iter = ckpt.iter + 1;
         }
 
         let iterations = report.iteration_done.len();
 
-        // ---- Final output dump (once, at termination; Fig. 1b) -------
-        let mut finish_times = Vec::with_capacity(n);
-        let mut final_state: Vec<(J::K, J::S)> = Vec::new();
-        for q in 0..n {
-            let node = assignment[q];
+        let outputs = (0..n).map(|q| {
             let start = last_reduce_done[q].max(decision_time);
-            let mut clock = TaskClock::starting_at(start);
             let data = if one2all {
-                prev_out[q].clone().unwrap_or_default()
+                prev_out[q].take().unwrap_or_default()
             } else {
-                state_store[q].clone()
+                std::mem::take(&mut state_store[q])
             };
-            let payload = encode_pairs(&data);
-            self.dfs
-                .put(&part_path(output_dir, q), payload, node, &mut clock)?;
-            finish_times.push(clock.now());
-            final_state.extend(data);
-        }
-        sort_run(&mut final_state);
-        report.finished = finish_times.into_iter().max().unwrap_or(decision_time);
+            (start, data)
+        });
+        let (final_state, finished) = self.commit_output(output_dir, &assignment, outputs)?;
+        report.finished = finished;
         report.metrics = self.metrics.snapshot();
 
         Ok(IterOutcome {
@@ -920,38 +767,22 @@ impl IterativeRunner {
         output_dir: &str,
         faults: &[FaultEvent],
     ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
-        use crate::accum::{partition_deltas, DeltaStore};
+        use crate::accum::DeltaStore;
 
-        cfg.validate(faults)?;
-        if !cfg.accumulative {
-            return Err(EngineError::Config(
-                "run_accumulative needs cfg.with_accumulative_mode()".into(),
-            ));
-        }
+        cfg.validate_entry(faults, true)?;
         if !faults.is_empty() {
             return Err(EngineError::Config(
                 "fault injection under accumulative mode requires the native backend".into(),
             ));
         }
         let n = cfg.num_tasks;
-        assert!(
-            n <= self.pair_capacity(),
-            "persistent tasks need dedicated slots: {} pairs > capacity {}",
-            n,
-            self.pair_capacity()
-        );
-        assert_eq!(
-            num_parts(&self.dfs, static_dir),
-            n,
-            "static data must be pre-partitioned into num_tasks parts"
-        );
+        self.check_launch(n, static_dir);
         assert_eq!(
             num_parts(&self.dfs, state_dir),
             n,
             "one2one state must be pre-partitioned into num_tasks parts"
         );
         let cost = &self.cluster.cost;
-        self.metrics.jobs_launched.add(1);
 
         // ---- One-time initialization: load + seed the delta stores ---
         let job_start = VInstant::EPOCH + cost.job_setup;
@@ -961,14 +792,7 @@ impl IterativeRunner {
         let mut now: Vec<VInstant> = Vec::with_capacity(n);
         for p in 0..n {
             let node = assignment[p];
-            let speed = self.cluster.speed(node);
-            let mut clock = TaskClock::starting_at(job_start);
-            clock.advance(cost.task_launch);
-            self.metrics.tasks_launched.add(2);
-            let stat: Vec<(J::K, J::T)> = read_part(&self.dfs, static_dir, p, node, &mut clock)?;
-            let sbytes = self.dfs.len(&part_path(static_dir, p))?;
-            clock.advance(cost.serde_per_byte * sbytes);
-            clock.advance(cost.sort_time(stat.len() as u64, speed));
+            let (stat, _, mut clock) = self.launch_pair::<J>(static_dir, p, node, job_start)?;
             let bytes = self.dfs.len(&part_path(state_dir, p))?;
             let store = if cfg.incremental {
                 // Warm start: the state part already holds the planned
@@ -1024,32 +848,25 @@ impl IterativeRunner {
             }
             for _round in 0..cfg.check_every {
                 // ---- Round phase A: select, apply, extract, send -----
-                let mut outgoing: Vec<Vec<Vec<(J::K, J::S)>>> = Vec::with_capacity(n);
-                let mut seg_bytes: Vec<Vec<u64>> = Vec::with_capacity(n);
+                let mut outgoing: Vec<Vec<Bytes>> = Vec::with_capacity(n);
                 let mut send_done: Vec<VInstant> = Vec::with_capacity(n);
                 for p in 0..n {
                     let node = assignment[p];
                     let speed = self.cluster.speed(node);
                     let mut clock = TaskClock::starting_at(now[p]);
                     let round_start = clock.now();
-                    let batch = stores[p].select_batch(job, &static_store[p], cfg.delta_batch);
-                    let emitted = batch.emitted.len() as u64;
-                    clock.advance(cost.compute_time(batch.applied as u64 + emitted, 0, speed));
-                    let dests = partition_deltas(job, batch.emitted, n);
-                    let sent: u64 = dests.iter().map(|d| d.len() as u64).sum();
-                    self.metrics.deltas_sent.add(sent);
-                    self.metrics.priority_preemptions.add(batch.deferred as u64);
-                    let mut bytes_row = Vec::with_capacity(n);
-                    let mut spill = 0u64;
-                    for dest in &dests {
-                        clock.advance(cost.sort_time(dest.len() as u64, speed));
-                        let b = encode_pairs(dest).len() as u64;
-                        spill += b;
-                        bytes_row.push(b);
-                    }
-                    clock.advance(cost.serde_per_byte * spill);
+                    let out = delta_send_step(
+                        job,
+                        &mut stores[p],
+                        &static_store[p],
+                        cfg.delta_batch,
+                        n,
+                        &mut SimCost::new(&mut clock, cost, speed),
+                    );
+                    self.metrics.deltas_sent.add(out.sent);
+                    self.metrics.priority_preemptions.add(out.deferred);
                     self.record(
-                        TraceEvent::new(TraceKind::DeltaRound { deltas: sent })
+                        TraceEvent::new(TraceKind::DeltaRound { deltas: out.sent })
                             .spanning(round_start.as_nanos(), clock.now().as_nanos())
                             .tagged(node.index() as u32, p as u32, check as u32, generation),
                     );
@@ -1063,8 +880,7 @@ impl IterativeRunner {
                             .saturating_sub(round_start.as_nanos()),
                     );
                     send_done.push(clock.now());
-                    outgoing.push(dests);
-                    seg_bytes.push(bytes_row);
+                    outgoing.push(out.segments);
                 }
                 // ---- Round phase B: receive from every peer, merge in
                 // source order (the only order the native round protocol
@@ -1073,11 +889,9 @@ impl IterativeRunner {
                     let node = assignment[q];
                     let speed = self.cluster.speed(node);
                     let mut clock = TaskClock::default();
-                    let mut fetched = 0u64;
                     let mut arrivals = Vec::with_capacity(n);
                     for p in 0..n {
-                        let b = seg_bytes[p][q];
-                        fetched += b;
+                        let b = outgoing[p][q].len() as u64;
                         arrivals.push(
                             send_done[p] + self.cluster.transfer_time(assignment[p], node, b),
                         );
@@ -1089,12 +903,12 @@ impl IterativeRunner {
                     }
                     clock.barrier(arrivals);
                     let merge_start = clock.now();
-                    clock.advance(cost.serde_per_byte * fetched);
-                    let mut merged = 0u64;
-                    for p in 0..n {
-                        merged += stores[q].merge_segment(job, &outgoing[p][q]) as u64;
-                    }
-                    clock.advance(cost.compute_time(merged, 0, speed));
+                    delta_merge_step(
+                        job,
+                        &mut stores[q],
+                        outgoing.iter().map(|row| row[q].clone()),
+                        &mut SimCost::new(&mut clock, cost, speed),
+                    )?;
                     // The receive/merge half plays the reduce role.
                     self.phase(
                         Phase::Reduce,
@@ -1141,38 +955,10 @@ impl IterativeRunner {
             if !done && cfg.checkpoint_interval > 0 && check.is_multiple_of(cfg.checkpoint_interval)
             {
                 let dir = imr_dfs::snapshot_dir(output_dir, check);
-                let before = self.metrics.dfs_write_bytes.get();
-                for q in 0..n {
-                    let mut off_path = TaskClock::default();
-                    self.dfs.put_atomic(
-                        &part_path(&dir, q),
-                        stores[q].encode(),
-                        assignment[q],
-                        &mut off_path,
-                    )?;
-                }
-                let ckpt_written = self.metrics.dfs_write_bytes.get() - before;
-                self.metrics.checkpoint_bytes.add(ckpt_written);
-                self.phase(
-                    Phase::CheckpointWrite,
-                    cost.disk_time(ckpt_written).as_nanos(),
-                );
+                let parts = stores.iter().map(DeltaStore::encode);
+                self.write_checkpoint(&dir, parts, &assignment, decision, check, generation)?;
                 if let Some(old) = last_snapshot.replace(dir) {
                     imr_mapreduce::io::delete_dir(&self.dfs, &old);
-                }
-                for q in 0..n {
-                    self.record(
-                        TraceEvent::new(TraceKind::Checkpoint {
-                            epoch: check as u64,
-                        })
-                        .at(decision.as_nanos())
-                        .tagged(
-                            assignment[q].index() as u32,
-                            q as u32,
-                            check as u32,
-                            generation,
-                        ),
-                    );
                 }
             }
             if done {
@@ -1182,26 +968,14 @@ impl IterativeRunner {
 
         let iterations = report.iteration_done.len();
 
-        // ---- Final output dump: fold any residual (sub-threshold)
-        // pending deltas into the values so the output is the fixpoint
-        // the detector certified ----------------------------------------
-        let mut finish_times = Vec::with_capacity(n);
-        let mut final_state: Vec<(J::K, J::S)> = Vec::new();
-        for (q, store) in stores.into_iter().enumerate() {
-            let node = assignment[q];
-            let mut clock = TaskClock::starting_at(now[q]);
-            let data = store.final_values(job);
-            let payload = encode_pairs(&data);
-            self.dfs
-                .put(&part_path(output_dir, q), payload, node, &mut clock)?;
-            finish_times.push(clock.now());
-            final_state.extend(data);
-        }
-        sort_run(&mut final_state);
-        report.finished = finish_times
+        // Fold any residual (sub-threshold) pending deltas into the values
+        // so the output is the fixpoint the detector certified.
+        let outputs = stores
             .into_iter()
-            .max()
-            .unwrap_or(now.iter().copied().max().unwrap_or(job_start));
+            .zip(&now)
+            .map(|(store, &start)| (start, store.final_values(job)));
+        let (final_state, finished) = self.commit_output(output_dir, &assignment, outputs)?;
+        report.finished = finished;
         report.metrics = self.metrics.snapshot();
 
         Ok(IterOutcome {
@@ -1222,30 +996,106 @@ impl IterativeRunner {
         }
     }
 
-    /// Writes a checkpoint to the DFS on a throwaway clock: the paper
-    /// performs checkpointing in parallel with the iterative process,
-    /// so it costs bytes (counted) but no critical-path time.
-    fn write_checkpoint<J: IterativeJob>(
+    /// Checks a job's shape against the cluster and counts its launch:
+    /// every pair needs dedicated slots, and the static data must come
+    /// pre-partitioned into one part per pair.
+    pub(crate) fn check_launch(&self, n: usize, static_dir: &str) {
+        assert!(
+            n <= self.pair_capacity(),
+            "persistent tasks need dedicated slots: {} pairs > capacity {}",
+            n,
+            self.pair_capacity()
+        );
+        assert_eq!(
+            num_parts(&self.dfs, static_dir),
+            n,
+            "static data must be pre-partitioned into num_tasks parts"
+        );
+        self.metrics.jobs_launched.add(1);
+    }
+
+    /// Launches pair `p`'s two persistent tasks on `node` at `start` —
+    /// concurrently, so one launch charge — and loads its static part.
+    /// Returns the part, its stored size and the pair's clock after the
+    /// load.
+    pub(crate) fn launch_pair<J: IterativeJob>(
+        &self,
+        static_dir: &str,
+        p: usize,
+        node: NodeId,
+        start: VInstant,
+    ) -> Result<(Vec<(J::K, J::T)>, u64, TaskClock), EngineError> {
+        let cost = &self.cluster.cost;
+        let mut clock = TaskClock::starting_at(start + cost.task_launch);
+        self.metrics.tasks_launched.add(2);
+        let stat: Vec<(J::K, J::T)> = read_part(&self.dfs, static_dir, p, node, &mut clock)?;
+        let bytes = self.dfs.len(&part_path(static_dir, p))?;
+        clock.advance(cost.serde_per_byte * bytes);
+        clock.advance(cost.sort_time(stat.len() as u64, self.cluster.speed(node)));
+        Ok((stat, bytes, clock))
+    }
+
+    /// Commits each pair's final partition to `output_dir`, once, at
+    /// termination (Fig. 1b); pair `q` writes from its start instant
+    /// on. Returns the key-sorted final state and when the last write
+    /// finished.
+    pub(crate) fn commit_output<K: Key, S: Value>(
+        &self,
+        output_dir: &str,
+        assignment: &[NodeId],
+        outputs: impl Iterator<Item = (VInstant, Vec<(K, S)>)>,
+    ) -> Result<(Vec<(K, S)>, VInstant), EngineError> {
+        let mut finished = VInstant::EPOCH;
+        let mut final_state = Vec::new();
+        for (q, (start, data)) in outputs.enumerate() {
+            let mut clock = TaskClock::starting_at(start);
+            let payload = encode_pairs(&data);
+            self.dfs.put(
+                &part_path(output_dir, q),
+                payload,
+                assignment[q],
+                &mut clock,
+            )?;
+            finished = finished.max(clock.now());
+            final_state.extend(data);
+        }
+        sort_run(&mut final_state);
+        Ok((final_state, finished))
+    }
+
+    /// Writes checkpoint `epoch`, one part per pair, to `dir` on a
+    /// throwaway clock: the paper performs checkpointing in parallel
+    /// with the iterative process, so it costs bytes (counted, and
+    /// observed as their modelled disk time) but no critical-path time.
+    /// Records each pair's `Checkpoint` event at `at`.
+    fn write_checkpoint(
         &self,
         dir: &str,
-        state: &[Vec<(J::K, J::S)>],
-        global_state: &[(J::K, J::S)],
-        one2all: bool,
+        parts: impl Iterator<Item = Bytes>,
         assignment: &[NodeId],
+        at: VInstant,
+        epoch: usize,
+        generation: u32,
     ) -> Result<(), EngineError> {
         let before = self.metrics.dfs_write_bytes.get();
-        for (q, part) in state.iter().enumerate() {
-            let payload = if one2all && q == 0 {
-                encode_pairs(global_state)
-            } else {
-                encode_pairs(part)
-            };
+        for (q, payload) in parts.enumerate() {
             let mut off_path = TaskClock::default();
             self.dfs
                 .put_atomic(&part_path(dir, q), payload, assignment[q], &mut off_path)?;
         }
         let written = self.metrics.dfs_write_bytes.get() - before;
         self.metrics.checkpoint_bytes.add(written);
+        let disk = self.cluster.cost.disk_time(written);
+        self.phase(Phase::CheckpointWrite, disk.as_nanos());
+        for (q, node) in assignment.iter().enumerate() {
+            self.record(
+                TraceEvent::new(TraceKind::Checkpoint {
+                    epoch: epoch as u64,
+                })
+                .at(at.as_nanos())
+                .tagged(node.index() as u32, q as u32, epoch as u32, generation),
+            );
+        }
         Ok(())
     }
 
@@ -1267,12 +1117,8 @@ impl IterativeRunner {
         self.dfs.fail_node(dead);
         let n = assignment.len();
         let mut per_node = vec![0usize; self.cluster.len()];
-        for (p, node) in assignment.iter().enumerate() {
-            if *node != dead {
-                per_node[node.index()] += 1;
-            } else {
-                let _ = p;
-            }
+        for node in assignment.iter().filter(|&&node| node != dead) {
+            per_node[node.index()] += 1;
         }
         let mut resume = detected_at;
         for p in 0..n {
@@ -1296,14 +1142,16 @@ impl IterativeRunner {
                 })
                 .expect("no surviving node has capacity for recovery");
             per_node[target.index()] += 1;
-            assignment[p] = target;
-            self.metrics.tasks_launched.add(2);
-
-            let mut clock = TaskClock::starting_at(detected_at + self.cluster.cost.task_launch);
-            let stat: Vec<(J::K, J::T)> = read_part(&self.dfs, static_dir, p, target, &mut clock)?;
-            static_bytes[p] = self.dfs.len(&part_path(static_dir, p))?;
-            static_store[p] = stat;
-            resume = resume.max(clock.now());
+            let relaunched = self.relaunch_pair::<J>(
+                p,
+                target,
+                detected_at,
+                assignment,
+                static_dir,
+                static_store,
+                static_bytes,
+            )?;
+            resume = resume.max(relaunched);
         }
         // Rolled-back tasks (all of them) reload the checkpointed state
         // from DFS; charge the slowest reload.
@@ -1318,11 +1166,12 @@ impl IterativeRunner {
         Ok(resume)
     }
 
-    /// Performs the three-step migration of §3.4.2: kill the pair on
-    /// the slow worker, launch a new pair on the fast worker (loading
-    /// state *and* static data from DFS), and roll everyone back.
+    /// Relaunches `pair`'s persistent tasks on `target` (a failed
+    /// pair's replacement, or the middle step of §3.4.2's three-step
+    /// migration) and reloads its static part from DFS. Returns the
+    /// instant the relaunched pair is ready.
     #[allow(clippy::too_many_arguments)]
-    fn migrate_pair<J: IterativeJob>(
+    fn relaunch_pair<J: IterativeJob>(
         &self,
         pair: usize,
         target: NodeId,
@@ -1339,83 +1188,5 @@ impl IterativeRunner {
         static_bytes[pair] = self.dfs.len(&part_path(static_dir, pair))?;
         static_store[pair] = stat;
         Ok(clock.now())
-    }
-}
-
-/// Merges reduce output with the carried-forward previous state: keys
-/// absent from `reduced` keep their old value. Both inputs are sorted;
-/// output is sorted.
-///
-/// Shared by every backend: the native engine must apply the exact same
-/// merge (including tie-breaking) for cross-engine equality to hold.
-pub fn carry_forward<K: Ord + Clone, S: Clone>(
-    reduced: Vec<(K, S)>,
-    previous: &[(K, S)],
-) -> Vec<(K, S)> {
-    let mut out = Vec::with_capacity(previous.len().max(reduced.len()));
-    let mut prev = previous.iter().peekable();
-    for (k, s) in reduced {
-        while let Some((pk, ps)) = prev.peek() {
-            if *pk < k {
-                out.push((pk.clone(), ps.clone()));
-                prev.next();
-            } else {
-                break;
-            }
-        }
-        if let Some((pk, _)) = prev.peek() {
-            if *pk == k {
-                prev.next();
-            }
-        }
-        out.push((k, s));
-    }
-    for (pk, ps) in prev {
-        out.push((pk.clone(), ps.clone()));
-    }
-    out
-}
-
-/// Sums the job's per-key distance over two sorted snapshots (keys
-/// present in only one snapshot contribute nothing).
-///
-/// Shared by every backend; summation order is key order, which keeps
-/// floating-point accumulation identical across engines.
-pub fn distance_sorted<J: IterativeJob>(
-    job: &J,
-    prev: &[(J::K, J::S)],
-    cur: &[(J::K, J::S)],
-) -> f64 {
-    let mut total = 0.0;
-    let mut pi = 0usize;
-    for (k, s) in cur {
-        while pi < prev.len() && prev[pi].0 < *k {
-            pi += 1;
-        }
-        if pi < prev.len() && prev[pi].0 == *k {
-            total += job.distance(k, &prev[pi].1, s);
-        }
-    }
-    total
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn carry_forward_fills_gaps() {
-        let prev = vec![(1u32, 10), (2, 20), (3, 30), (5, 50)];
-        let reduced = vec![(2u32, 99), (4, 44)];
-        let merged = carry_forward(reduced, &prev);
-        assert_eq!(merged, vec![(1, 10), (2, 99), (3, 30), (4, 44), (5, 50)]);
-    }
-
-    #[test]
-    fn carry_forward_with_empty_sides() {
-        let prev = vec![(1u32, 1)];
-        assert_eq!(carry_forward(vec![], &prev), prev);
-        let merged = carry_forward(vec![(2u32, 2)], &[]);
-        assert_eq!(merged, vec![(2, 2)]);
     }
 }

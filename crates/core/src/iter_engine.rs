@@ -13,7 +13,7 @@
 
 use crate::accum::Accumulative;
 use crate::api::IterativeJob;
-use crate::config::{FailureEvent, FaultEvent, IterConfig};
+use crate::config::{FaultEvent, IterConfig};
 use crate::engine::{IterOutcome, IterativeRunner};
 use crate::incremental::{
     prepare_incremental, FixpointStore, GraphDelta, Incremental, IncrementalOutcome,
@@ -27,9 +27,8 @@ use imr_trace::TraceHandle;
 ///
 /// Algorithms are written once against this trait (see
 /// `imr-algorithms`): they load partitioned state/static data through
-/// [`dfs`](IterEngine::dfs) and call [`run`](IterEngine::run) or
-/// [`run_faults`](IterEngine::run_faults), which makes every algorithm
-/// portable across backends without changes.
+/// [`dfs`](IterEngine::dfs) and call [`run`](IterEngine::run), which
+/// makes every algorithm portable across backends without changes.
 pub trait IterEngine {
     /// The DFS holding initial state, static data and job output.
     fn dfs(&self) -> &Dfs;
@@ -59,7 +58,7 @@ pub trait IterEngine {
     ///   `checkpoint_interval == 0`, a hang without a watchdog) are the
     ///   same [`EngineError::Config`] on every backend — see
     ///   [`IterConfig::validate`].
-    fn run_faults<J: IterativeJob>(
+    fn run<J: IterativeJob>(
         &self,
         job: &J,
         cfg: &IterConfig,
@@ -134,22 +133,6 @@ pub trait IterEngine {
         let outcome = self.run_accumulative(job, cfg, state_dir, static_dir, output_dir, faults)?;
         Ok(IncrementalOutcome { outcome, stats })
     }
-
-    /// Runs `job` to termination with scripted kills only (the
-    /// historical surface; each [`FailureEvent`] is a
-    /// [`FaultEvent::Kill`]).
-    fn run<J: IterativeJob>(
-        &self,
-        job: &J,
-        cfg: &IterConfig,
-        state_dir: &str,
-        static_dir: &str,
-        output_dir: &str,
-        failures: &[FailureEvent],
-    ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
-        let faults: Vec<FaultEvent> = failures.iter().map(|&f| f.into()).collect();
-        self.run_faults(job, cfg, state_dir, static_dir, output_dir, &faults)
-    }
 }
 
 impl IterEngine for IterativeRunner {
@@ -161,7 +144,7 @@ impl IterEngine for IterativeRunner {
         IterativeRunner::trace(self)
     }
 
-    fn run_faults<J: IterativeJob>(
+    fn run<J: IterativeJob>(
         &self,
         job: &J,
         cfg: &IterConfig,
@@ -170,7 +153,7 @@ impl IterEngine for IterativeRunner {
         output_dir: &str,
         faults: &[FaultEvent],
     ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
-        IterativeRunner::run_faults(self, job, cfg, state_dir, static_dir, output_dir, faults)
+        IterativeRunner::run(self, job, cfg, state_dir, static_dir, output_dir, faults)
     }
 
     fn run_accumulative<J: Accumulative>(

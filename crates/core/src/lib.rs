@@ -74,22 +74,25 @@ mod engine;
 mod incremental;
 mod iter_engine;
 mod multiphase;
+mod step;
 mod store;
 
-pub use accum::{partition_deltas, Accumulative, BatchOutcome, DeltaStore};
+pub use accum::{Accumulative, BatchOutcome, DeltaStore};
 pub use api::{Emitter, IterativeJob, Mapping, StateInput};
 pub use aux::{run_with_aux, AuxOutcome, AuxPhase};
-pub use config::{
-    FailureEvent, FaultEvent, IterConfig, LoadBalance, Termination, TransportKind, WatchdogConfig,
-};
+pub use config::{FaultEvent, IterConfig, LoadBalance, Termination, TransportKind, WatchdogConfig};
 pub use ctl::RunCtl;
-pub use engine::{carry_forward, distance_sorted, IterOutcome, IterativeRunner};
+pub use engine::{IterOutcome, IterativeRunner};
 pub use incremental::{
     apply_delta, plan_incremental, prepare_incremental, AppliedDelta, FixpointStore, GraphDelta,
     GraphDeltaOp, Incremental, IncrementalOutcome, IncrementalPlan, PatchEffect, PatchStats,
 };
 pub use iter_engine::IterEngine;
 pub use multiphase::{run_two_phase, PhaseJob, TwoPhaseConfig, TwoPhaseOutcome};
+pub use step::{
+    delta_merge_step, delta_send_step, map_step, reduce_step, CostObserver, DeltaOut, MapOut,
+    ReduceOut,
+};
 pub use store::{load_partitioned, part_len, partition_sorted};
 
 // Re-export the engine error type jobs see.

@@ -4,7 +4,7 @@
 //! auxiliary phase.
 
 use imapreduce::{
-    load_partitioned, run_two_phase, run_with_aux, AuxPhase, Emitter, EngineError, FailureEvent,
+    load_partitioned, run_two_phase, run_with_aux, AuxPhase, Emitter, EngineError, FaultEvent,
     IterConfig, IterativeJob, IterativeRunner, LoadBalance, PhaseJob, StateInput, TwoPhaseConfig,
 };
 use imr_dfs::Dfs;
@@ -171,7 +171,7 @@ fn failure_recovery_reproduces_exact_results() {
         let r = runner_on(ClusterSpec::local(4));
         load_relax(&r, 48, 4);
         let cfg = IterConfig::new("relax", 4, 10).with_checkpoint_interval(3);
-        let failures = [FailureEvent {
+        let failures = [FaultEvent::Kill {
             node: NodeId(1),
             at_iteration: 5,
         }];
@@ -194,7 +194,7 @@ fn failure_without_checkpoint_is_a_config_error() {
     let r = runner_on(ClusterSpec::local(4));
     load_relax(&r, 24, 4);
     let cfg = IterConfig::new("relax", 4, 6).with_checkpoint_interval(0);
-    let failures = [FailureEvent {
+    let failures = [FaultEvent::Kill {
         node: NodeId(2),
         at_iteration: 4,
     }];

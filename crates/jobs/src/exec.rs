@@ -286,14 +286,14 @@ fn dispatch<J: IterativeJob>(
                 ctx.metrics.clone(),
             )
             .with_telemetry(telemetry);
-            runner.run_faults(job, cfg, state_dir, static_dir, output_dir, &[])?
+            runner.run(job, cfg, state_dir, static_dir, output_dir, &[])?
         }
         EngineSel::Threads => {
             let runner = NativeRunner::new(ctx.dfs.clone(), ctx.metrics.clone())
                 .with_trace(trace)
                 .with_telemetry(telemetry)
                 .with_ctl(ctl);
-            runner.run_faults(job, cfg, state_dir, static_dir, output_dir, &[])?
+            runner.run(job, cfg, state_dir, static_dir, output_dir, &[])?
         }
         EngineSel::Tcp => {
             let bin = ctx.worker_bin.clone().ok_or_else(|| {

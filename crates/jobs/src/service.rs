@@ -320,25 +320,15 @@ impl JobService {
                 "TCP-engine jobs need a configured worker binary".into(),
             ));
         }
-        let (id, meta) = {
+        let id = {
             let mut st = self.state.lock();
-            let id = st.next_id;
             st.next_id += 1;
-            let meta = JobMeta::queued(id);
-            let telemetry: TelemetryHandle = Arc::new(Telemetry::default());
-            self.tel_index.lock().push((id, Arc::clone(&telemetry)));
-            st.catalog.insert(
-                id,
-                JobEntry {
-                    spec: spec.clone(),
-                    meta: meta.clone(),
-                    trace: Arc::new(TraceBuffer::with_capacity(self.cfg.trace_capacity)),
-                    telemetry,
-                },
-            );
-            st.queue.push(id, spec.priority, spec.tasks, false);
-            (id, meta)
+            st.next_id - 1
         };
+        // Journal before enqueueing: once the job is in the queue a
+        // concurrent scheduler may admit it and journal `Running`
+        // through the same meta path, which must find `Queued` done.
+        let meta = JobMeta::queued(id);
         let mut clock = TaskClock::default();
         self.dfs.put_atomic(
             &catalog::spec_path(&self.cfg.ns, id),
@@ -347,6 +337,19 @@ impl JobService {
             &mut clock,
         )?;
         self.journal_meta(&meta)?;
+        let telemetry: TelemetryHandle = Arc::new(Telemetry::default());
+        self.tel_index.lock().push((id, Arc::clone(&telemetry)));
+        let mut st = self.state.lock();
+        st.queue.push(id, spec.priority, spec.tasks, false);
+        st.catalog.insert(
+            id,
+            JobEntry {
+                spec,
+                meta,
+                trace: Arc::new(TraceBuffer::with_capacity(self.cfg.trace_capacity)),
+                telemetry,
+            },
+        );
         Ok(id)
     }
 
@@ -373,9 +376,13 @@ impl JobService {
             }
             {
                 let st = self.state.lock();
-                let drained = st.queue.is_empty() || self.killed.load(Ordering::Acquire);
-                if st.running.is_empty() && drained {
-                    break;
+                if st.running.is_empty() {
+                    if st.queue.is_empty() || self.killed.load(Ordering::Acquire) {
+                        break;
+                    }
+                    // Submitted after the admission pass: nothing is
+                    // running to report, so admit it instead of waiting.
+                    continue;
                 }
             }
             let (id, result) = rx.recv().expect("running jobs always report");

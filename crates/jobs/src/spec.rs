@@ -71,7 +71,7 @@ impl AlgoSpec {
 pub enum EngineSel {
     /// The virtual-time simulation engine (`IterativeRunner`).
     Sim,
-    /// The native thread backend (`NativeRunner::run_faults`).
+    /// The native thread backend (`NativeRunner::run`).
     Threads,
     /// The native multi-process TCP backend
     /// (`NativeRunner::run_remote`); needs a worker binary.

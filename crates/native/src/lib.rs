@@ -106,8 +106,7 @@ mod supervisor;
 use bytes::Bytes;
 use fault::FaultBarrier;
 use imapreduce::{
-    FailureEvent, FaultEvent, IterConfig, IterEngine, IterOutcome, IterativeJob, Mapping, RunCtl,
-    TransportKind,
+    FaultEvent, IterConfig, IterEngine, IterOutcome, IterativeJob, Mapping, RunCtl, TransportKind,
 };
 use imr_dfs::{hist_path, snapshot_dir, Dfs};
 use imr_mapreduce::io::{num_parts, part_path};
@@ -118,32 +117,23 @@ use imr_simcluster::{MetricsHandle, NodeId, TaskClock};
 use imr_telemetry::{Gauge, Phase, TelemetryHandle};
 use imr_trace::{TraceEvent, TraceHandle};
 use monitor::{monitor_loop, BalancePlan, Intervention, ProgressBoard};
-use pair::{delta_loop, pair_loop, EnvFail, PairCfg, PairDirs, PairEnv, PairOutcome, PairPlan};
+use pair::{
+    add_counts, delta_loop, pair_loop, Beat, EnvFail, PairCfg, PairCtx, PairDirs, PairEnv, PairLog,
+    PairOutcome,
+};
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use supervisor::{assert_partitioning, supervise, GenInput, PairRun, RunOutcome};
 
 /// The worker-thread body `run_threaded` drives: either `pair_loop`
 /// (map/reduce iterations) or `delta_loop` (barrier-free accumulative
 /// rounds), as a higher-ranked fn pointer so one generation harness
 /// serves both modes.
-type ThreadLoop<J> = fn(
-    usize,
-    &J,
-    &PairCfg,
-    &PairDirs,
-    &PairPlan,
-    usize,
-    &MetricsHandle,
-    &mut ThreadEnv<'_>,
-    Instant,
-    &mut Vec<(f64, bool)>,
-    &mut Vec<Duration>,
-    &mut usize,
-) -> Result<PairOutcome, EngineError>;
+type ThreadLoop<J> =
+    fn(&J, &PairCtx<'_>, &mut ThreadEnv<'_>, &mut PairLog) -> Result<PairOutcome, EngineError>;
 
 pub use remote::{serve_worker, serve_worker_accum, WorkerSpec};
 
@@ -229,11 +219,15 @@ impl NativeRunner {
     }
 
     /// Runs `job` to termination on `cfg.num_tasks` worker threads.
-    /// Arguments mirror [`IterativeRunner::run`]. Scripted `failures`
-    /// are injected deterministically (see [`FailureEvent`]) and
-    /// recovered from DFS checkpoints; they require
-    /// `cfg.checkpoint_interval > 0`. For delay/hang faults use
-    /// [`NativeRunner::run_faults`].
+    /// Arguments mirror [`IterativeRunner::run`]. The scripted fault
+    /// schedule ([`FaultEvent`]) runs with the full self-healing runtime
+    /// active: scripted kills exit their pairs, scripted delays slow
+    /// them, scripted hangs wedge them for the watchdog
+    /// (`IterConfig::with_watchdog`) to detect, and §3.4.2 load
+    /// balancing (`IterConfig::with_load_balance`) migrates pairs off
+    /// emulated slow nodes at checkpoint epochs. All recovery and
+    /// migration is rollback-and-respawn from DFS snapshots, so the
+    /// result is bit-identical to an undisturbed run.
     ///
     /// [`IterativeRunner::run`]: imapreduce::IterativeRunner::run
     pub fn run<J: IterativeJob>(
@@ -243,51 +237,10 @@ impl NativeRunner {
         state_dir: &str,
         static_dir: &str,
         output_dir: &str,
-        failures: &[FailureEvent],
-    ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
-        let faults: Vec<FaultEvent> = failures.iter().map(|&f| f.into()).collect();
-        self.run_faults(job, cfg, state_dir, static_dir, output_dir, &faults)
-    }
-
-    /// Runs `job` to termination under a generalized fault schedule
-    /// ([`FaultEvent`]) with the full self-healing runtime active:
-    /// scripted kills exit their pairs, scripted delays slow them,
-    /// scripted hangs wedge them for the watchdog
-    /// (`IterConfig::with_watchdog`) to detect, and §3.4.2 load
-    /// balancing (`IterConfig::with_load_balance`) migrates pairs off
-    /// emulated slow nodes at checkpoint epochs. All recovery and
-    /// migration is rollback-and-respawn from DFS snapshots, so the
-    /// result is bit-identical to an undisturbed run.
-    pub fn run_faults<J: IterativeJob>(
-        &self,
-        job: &J,
-        cfg: &IterConfig,
-        state_dir: &str,
-        static_dir: &str,
-        output_dir: &str,
         faults: &[FaultEvent],
     ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
-        cfg.validate(faults)?;
-        if cfg.accumulative {
-            return Err(EngineError::Config(
-                "cfg.accumulative is set: use run_accumulative for barrier-free \
-                 delta-accumulative execution"
-                    .into(),
-            ));
-        }
-        if cfg.transport == TransportKind::Tcp {
-            return Err(EngineError::Config(
-                "transport Tcp needs worker processes: use NativeRunner::run_remote \
-                 with a worker binary"
-                    .into(),
-            ));
-        }
-        let loop_fn: ThreadLoop<J> =
-            |q, job, cfg, dirs, plan, epoch, metrics, env, started, ld, id, lc| {
-                pair_loop::<J, ThreadEnv<'_>>(
-                    q, job, cfg, dirs, plan, epoch, metrics, env, started, ld, id, lc,
-                )
-            };
+        cfg.validate_entry(faults, false)?;
+        let loop_fn: ThreadLoop<J> = |job, ctx, env, log| pair_loop(job, ctx, env, log);
         self.run_threaded(
             job,
             cfg,
@@ -323,25 +276,8 @@ impl NativeRunner {
         output_dir: &str,
         faults: &[FaultEvent],
     ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
-        cfg.validate(faults)?;
-        if !cfg.accumulative {
-            return Err(EngineError::Config(
-                "run_accumulative needs cfg.with_accumulative_mode()".into(),
-            ));
-        }
-        if cfg.transport == TransportKind::Tcp {
-            return Err(EngineError::Config(
-                "transport Tcp needs worker processes: use NativeRunner::run_remote \
-                 with a worker binary"
-                    .into(),
-            ));
-        }
-        let loop_fn: ThreadLoop<J> =
-            |q, job, cfg, dirs, plan, epoch, metrics, env, started, ld, id, lc| {
-                delta_loop::<J, ThreadEnv<'_>>(
-                    q, job, cfg, dirs, plan, epoch, metrics, env, started, ld, id, lc,
-                )
-            };
+        cfg.validate_entry(faults, true)?;
+        let loop_fn: ThreadLoop<J> = |job, ctx, env, log| delta_loop(job, ctx, env, log);
         self.run_threaded(
             job,
             cfg,
@@ -370,6 +306,13 @@ impl NativeRunner {
         loop_fn: ThreadLoop<J>,
         label: String,
     ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
+        if cfg.transport == TransportKind::Tcp {
+            return Err(EngineError::Config(
+                "transport Tcp needs worker processes: use NativeRunner::run_remote \
+                 with a worker binary"
+                    .into(),
+            ));
+        }
         assert_partitioning(&self.dfs, cfg, state_dir, static_dir);
         let n = cfg.num_tasks;
         let num_state_parts = num_parts(&self.dfs, state_dir);
@@ -457,9 +400,19 @@ impl NativeRunner {
                         let pair_cfg = &pair_cfg;
                         let dirs = &dirs;
                         handles.push(scope.spawn(move || {
-                            let mut local_dist: Vec<(f64, bool)> = Vec::new();
-                            let mut iter_done: Vec<Duration> = Vec::new();
-                            let mut last_ckpt = epoch;
+                            let ctx = PairCtx {
+                                q,
+                                cfg: pair_cfg,
+                                dirs,
+                                plan,
+                                epoch,
+                                metrics,
+                                started,
+                            };
+                            let mut log = PairLog {
+                                last_ckpt: epoch,
+                                ..PairLog::default()
+                            };
                             let mut env = ThreadEnv {
                                 q,
                                 dfs,
@@ -477,20 +430,7 @@ impl NativeRunner {
                                 seed: &seed_dist[q],
                             };
                             let result = catch_unwind(AssertUnwindSafe(|| {
-                                loop_fn(
-                                    q,
-                                    job,
-                                    pair_cfg,
-                                    dirs,
-                                    plan,
-                                    epoch,
-                                    metrics,
-                                    &mut env,
-                                    started,
-                                    &mut local_dist,
-                                    &mut iter_done,
-                                    &mut last_ckpt,
-                                )
+                                loop_fn(job, &ctx, &mut env, &mut log)
                             }));
                             // Disconnect this pair's links first so blocked
                             // peers unwind, exactly as the old inline worker
@@ -518,12 +458,7 @@ impl NativeRunner {
                                 // link drops above already woke the rest.
                                 barrier.poison();
                             }
-                            PairRun {
-                                local_dist,
-                                iter_done,
-                                last_ckpt,
-                                outcome,
-                            }
+                            PairRun { log, outcome }
                         }));
                     }
                     let runs: Vec<PairRun> = handles
@@ -570,7 +505,7 @@ impl IterEngine for NativeRunner {
         self.trace.as_ref()
     }
 
-    fn run_faults<J: IterativeJob>(
+    fn run<J: IterativeJob>(
         &self,
         job: &J,
         cfg: &IterConfig,
@@ -579,7 +514,7 @@ impl IterEngine for NativeRunner {
         output_dir: &str,
         faults: &[FaultEvent],
     ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
-        NativeRunner::run_faults(self, job, cfg, state_dir, static_dir, output_dir, faults)
+        NativeRunner::run(self, job, cfg, state_dir, static_dir, output_dir, faults)
     }
 
     fn run_accumulative<J: imapreduce::Accumulative>(
@@ -700,10 +635,20 @@ impl PairEnv for ThreadEnv<'_> {
         Ok(())
     }
 
-    fn beat(&mut self, iteration: usize, busy_secs: f64, _d: f64, _has_prev: bool) {
+    fn beat(&mut self, beat: &Beat) {
         // The thread backend reads the worker's distance vectors
-        // directly; only the heartbeat matters here.
-        self.board.beat(self.q, iteration, busy_secs);
+        // directly; the distance fields are not needed here.
+        add_counts(self.metrics, &beat.counts);
+        if let Some(tel) = self.telemetry {
+            tel.sample(
+                beat.stamp_nanos,
+                self.q as u32,
+                self.generation,
+                beat.iteration as u64,
+                &self.metrics.snapshot(),
+            );
+        }
+        self.board.beat(self.q, beat.iteration, beat.busy_secs);
     }
 
     fn hang(&mut self) {
@@ -729,18 +674,6 @@ impl PairEnv for ThreadEnv<'_> {
     fn gauge(&mut self, gauge: Gauge, value: u64) {
         if let Some(tel) = self.telemetry {
             tel.set_gauge(gauge, value);
-        }
-    }
-
-    fn sample(&mut self, stamp_nanos: u64, iteration: u64) {
-        if let Some(tel) = self.telemetry {
-            tel.sample(
-                stamp_nanos,
-                self.q as u32,
-                self.generation,
-                iteration,
-                &self.metrics.snapshot(),
-            );
         }
     }
 
@@ -924,7 +857,7 @@ mod tests {
                     "/state",
                     "/static",
                     "/out",
-                    &[FailureEvent {
+                    &[FaultEvent::Kill {
                         node: NodeId(0),
                         at_iteration: 3,
                     }],
@@ -957,7 +890,7 @@ mod tests {
                 "/state",
                 "/static",
                 "/out",
-                &[FailureEvent {
+                &[FaultEvent::Kill {
                     node: NodeId(1),
                     at_iteration: 3,
                 }],
@@ -980,7 +913,7 @@ mod tests {
                 "/state",
                 "/static",
                 "/out",
-                &[FailureEvent {
+                &[FaultEvent::Kill {
                     node: NodeId(0),
                     at_iteration: 1,
                 }],
@@ -1055,15 +988,15 @@ mod tests {
         // Two failures at the same iteration on different nodes plus a
         // later one, including one on the checkpoint iteration itself.
         let failures = [
-            FailureEvent {
+            FaultEvent::Kill {
                 node: NodeId(0),
                 at_iteration: 2,
             },
-            FailureEvent {
+            FaultEvent::Kill {
                 node: NodeId(1),
                 at_iteration: 2,
             },
-            FailureEvent {
+            FaultEvent::Kill {
                 node: NodeId(2),
                 at_iteration: 4,
             },
@@ -1088,7 +1021,7 @@ mod tests {
                 "/state",
                 "/static",
                 "/out",
-                &[FailureEvent {
+                &[FaultEvent::Kill {
                     node: NodeId(0),
                     at_iteration: 4,
                 }],
@@ -1120,7 +1053,7 @@ mod tests {
         let (hung_rt, _) = fixtures(4);
         load_halve(hung_rt.dfs(), 3);
         let hung = hung_rt
-            .run_faults(
+            .run(
                 &Halve,
                 &cfg,
                 "/state",
@@ -1159,7 +1092,7 @@ mod tests {
         let (slow_rt, _) = fixtures(2);
         load_halve(slow_rt.dfs(), 2);
         let slow = slow_rt
-            .run_faults(
+            .run(
                 &Halve,
                 &cfg,
                 "/state",

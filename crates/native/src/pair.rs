@@ -1,9 +1,19 @@
 //! The per-iteration loop of one persistent map/reduce pair, shared by
 //! the in-process thread backend and the multi-process TCP backend.
 //!
-//! The loop is a line-for-line data-path port of the simulation
-//! engine's per-iteration loop with the virtual clocks removed. All
-//! interaction with the rest of the job — the shuffle fabric, the
+//! The data work of an iteration is the core crate's step functions
+//! (`map_step`/`reduce_step`, `delta_send_step`/`delta_merge_step`) —
+//! the same ones the simulation engine drives, here with the no-op cost
+//! observer. This module owns what the native engines add around them:
+//! moving segments over the transport, barriers, and the supervision
+//! surface. The two iteration bodies — map/reduce iterations
+//! ([`pair_loop`]) and delta-accumulative check epochs
+//! ([`delta_loop`]) — run under one driver, which owns the shared
+//! per-iteration tail: emulated slowdowns, the iteration-end record and
+//! heartbeat, the distance exchange, checkpoints, finishing and the
+//! scripted kill/crash/hang.
+//!
+//! All interaction with the rest of the job — the shuffle fabric, the
 //! barrier, the one2all broadcast, termination voting, DFS access for
 //! loads and checkpoints, heartbeats and the hang primitive — goes
 //! through the [`PairEnv`] trait, so the exact same loop runs on a
@@ -14,17 +24,18 @@
 //! `encode_pairs` bytes. The workspace codec is lossless (f64 travels
 //! as its full 8-byte pattern), so decode∘encode is the identity and
 //! the broadcast state both backends reassemble is bit-identical to
-//! the old typed shared-slot hand-off.
+//! the simulation engine's typed hand-off.
 
 use bytes::Bytes;
 use imapreduce::{
-    carry_forward, distance_sorted, Emitter, IterConfig, IterativeJob, Mapping, StateInput,
+    delta_merge_step, delta_send_step, map_step, reduce_step, Accumulative, DeltaStore, IterConfig,
+    IterativeJob, Mapping,
 };
 use imr_dfs::snapshot_dir;
 use imr_mapreduce::EngineError;
-use imr_net::{Closed, Transport};
-use imr_records::{decode_pairs, encode_pairs, group_sorted, merge_runs, sort_run};
-use imr_simcluster::MetricsHandle;
+use imr_net::{Closed, IterCounts, Transport};
+use imr_records::{decode_pairs, encode_pairs, sort_run, CodecError};
+use imr_simcluster::{Metrics, MetricsHandle};
 use imr_telemetry::{Gauge, Phase};
 use imr_trace::{TraceEvent, TraceKind};
 use std::time::{Duration, Instant};
@@ -122,9 +133,9 @@ pub(crate) enum PairOutcome {
     Vanish,
 }
 
-/// Environment-side failure for DFS-backed operations: either the
-/// generation is being torn down (recoverable; the pair aborts), or a
-/// real storage/codec failure (fatal; the run errors out).
+/// Why a pair stopped early: either the generation is being torn down
+/// (recoverable; the pair aborts), or a real storage/codec failure
+/// (fatal; the run errors out).
 pub(crate) enum EnvFail {
     Closed,
     Error(EngineError),
@@ -140,6 +151,82 @@ impl From<imr_dfs::DfsError> for EnvFail {
     fn from(e: imr_dfs::DfsError) -> Self {
         EnvFail::Error(e.into())
     }
+}
+
+impl From<CodecError> for EnvFail {
+    fn from(e: CodecError) -> Self {
+        EnvFail::Error(e.into())
+    }
+}
+
+impl From<Closed> for EnvFail {
+    fn from(_: Closed) -> Self {
+        EnvFail::Closed
+    }
+}
+
+/// Everything one pair's generation runs with.
+pub(crate) struct PairCtx<'a> {
+    pub q: usize,
+    pub cfg: &'a PairCfg,
+    pub dirs: &'a PairDirs,
+    pub plan: &'a PairPlan,
+    /// The checkpoint epoch this generation starts from.
+    pub epoch: usize,
+    pub metrics: &'a MetricsHandle,
+    /// The run's start: trace and sample stamps are offsets from it.
+    pub started: Instant,
+}
+
+impl PairCtx<'_> {
+    fn now_ns(&self) -> u64 {
+        self.started.elapsed().as_nanos() as u64
+    }
+
+    /// Tags `event` with this pair and iteration `it` (the environment
+    /// stamps node and generation).
+    fn tag(&self, event: TraceEvent, it: usize) -> TraceEvent {
+        event.tagged(0, self.q as u32, it as u32, 0)
+    }
+}
+
+/// What a pair records as it runs, for the supervisor.
+#[derive(Default)]
+pub(crate) struct PairLog {
+    /// Per-iteration `(local_distance, had_previous_snapshot)`, one
+    /// entry per iteration the pair *completed* this generation.
+    pub local_dist: Vec<(f64, bool)>,
+    /// Wall-clock offset of each completed iteration's reduce, from job
+    /// start (monotone across generations).
+    pub iter_done: Vec<Duration>,
+    /// The last iteration whose snapshot this pair fully wrote to the
+    /// DFS (the generation's start epoch if it wrote none).
+    pub last_ckpt: usize,
+}
+
+/// One completed iteration, reported once to the environment.
+pub(crate) struct Beat {
+    pub iteration: usize,
+    /// When the iteration ended, in nanoseconds since `started`.
+    pub stamp_nanos: u64,
+    /// Compute time including emulated slowdowns: the load signal the
+    /// watchdog and the balancer key on.
+    pub busy_secs: f64,
+    /// The iteration's local distance sample.
+    pub d: f64,
+    pub has_prev: bool,
+    /// The iteration's data-path counters.
+    pub counts: IterCounts,
+}
+
+/// Folds one iteration's data-path counters into a metrics registry.
+pub(crate) fn add_counts(metrics: &Metrics, c: &IterCounts) {
+    metrics.map_input_records.add(c.map_input_records);
+    metrics.reduce_input_records.add(c.reduce_input_records);
+    metrics.state_handoff_bytes.add(c.state_handoff_bytes);
+    metrics.deltas_sent.add(c.deltas_sent);
+    metrics.priority_preemptions.add(c.priority_preemptions);
+    metrics.termination_checks.add(c.termination_checks);
 }
 
 /// Everything a pair needs from the outside world, beyond the shuffle
@@ -169,12 +256,16 @@ pub(crate) trait PairEnv: Transport {
         payload: Bytes,
         hist: &[(f64, bool)],
     ) -> Result<(), EnvFail>;
-    /// Publish a heartbeat for the watchdog/balancer after completing
-    /// `iteration`. Carries the iteration's local distance sample so
-    /// the coordinator side can rebuild per-iteration records for pairs
-    /// whose process dies before reporting (the thread backend ignores
-    /// those fields — it reads the worker's vectors directly).
-    fn beat(&mut self, iteration: usize, busy_secs: f64, d: f64, has_prev: bool);
+    /// Report a completed iteration, once: the heartbeat for the
+    /// watchdog/balancer, the iteration's data-path counters for the
+    /// authoritative metrics registry, and one telemetry sample stamped
+    /// at its end (the environment fills the worker/generation tags and
+    /// the counter columns; the sample is dropped when telemetry is
+    /// off). The local distance sample lets the coordinator side
+    /// rebuild per-iteration records for pairs whose process dies
+    /// before reporting (the thread backend reads the worker's vectors
+    /// directly).
+    fn beat(&mut self, beat: &Beat);
     /// Go silent until the generation is poisoned (scripted hang).
     fn hang(&mut self);
     /// Record a structured trace event. The loop fills the task,
@@ -187,11 +278,6 @@ pub(crate) trait PairEnv: Transport {
     fn phase(&mut self, _phase: Phase, _nanos: u64) {}
     /// Set a telemetry gauge (dropped when telemetry is off).
     fn gauge(&mut self, _gauge: Gauge, _value: u64) {}
-    /// Push one telemetry sample at the end of `iteration`, stamped
-    /// `stamp_nanos` since the run's `started` instant. The environment
-    /// fills the worker/generation tags and the counter columns from
-    /// its metrics registry (dropped when telemetry is off).
-    fn sample(&mut self, _stamp_nanos: u64, _iteration: u64) {}
     /// Segments queued on this pair's inbound shuffle/handoff channels,
     /// awaiting receive. 0 where the transport can't observe depth.
     fn inbound_backlog(&self) -> u64 {
@@ -208,13 +294,6 @@ pub(crate) trait PairEnv: Transport {
     fn recv_delta(&mut self, src: usize) -> Result<Bytes, Closed> {
         self.recv(src)
     }
-    /// Forward this check's accumulative counter increments
-    /// (`deltas_sent`, `priority_preemptions`, `termination_checks`) to
-    /// the authoritative metrics registry. No-op where the loop's
-    /// `metrics` handle already is authoritative (the thread backend);
-    /// the TCP environment overrides this because its local registry is
-    /// a sink.
-    fn delta_stats(&mut self, _deltas: u64, _preemptions: u64, _checks: u64) {}
     /// Verify the epoch-0 warm-start patch part against the
     /// coordinator's expectation (incremental mode). The thread backend
     /// shares memory with the coordinator, so nothing can diverge and
@@ -226,301 +305,142 @@ pub(crate) trait PairEnv: Transport {
     }
 }
 
-/// The per-iteration loop. `Err` carries real failures (DFS, codec);
-/// scripted exits and peer-death unwinds come back as `Ok` outcomes.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn pair_loop<J: IterativeJob, E: PairEnv>(
-    q: usize,
-    job: &J,
-    cfg: &PairCfg,
-    dirs: &PairDirs,
-    plan: &PairPlan,
-    epoch: usize,
-    metrics: &MetricsHandle,
-    env: &mut E,
-    started: Instant,
-    local_dist: &mut Vec<(f64, bool)>,
-    iter_done: &mut Vec<Duration>,
-    last_ckpt: &mut usize,
-) -> Result<PairOutcome, EngineError> {
-    let n = cfg.n;
-    let one2all = cfg.one2all;
-    metrics.tasks_launched.add(2);
+/// One completed iteration, handed to the shared tail.
+struct Work {
+    /// Compute time, emulated slowdowns included (see [`slow_down`]).
+    busy_secs: f64,
+    /// Local distance sample and whether a previous snapshot existed.
+    d: f64,
+    has_prev: bool,
+    counts: IterCounts,
+}
 
-    // ---- One-time load: static partition + state at this epoch -------
-    // Epoch 0 is the job's initial input; epoch e > 0 is the snapshot
-    // the pairs wrote at the end of iteration e (one part per pair).
-    let stat: Vec<(J::K, J::T)> = match env.read_part(&dirs.static_dir, q) {
-        Ok(raw) => decode_pairs(raw)?,
-        Err(EnvFail::Closed) => return Ok(PairOutcome::Aborted),
-        Err(EnvFail::Error(e)) => return Err(e),
-    };
-    let load_part =
-        |env: &mut E, dir: &str, i: usize| -> Result<Option<Vec<(J::K, J::S)>>, EngineError> {
-            match env.read_part(dir, i) {
-                Ok(raw) => Ok(Some(decode_pairs(raw)?)),
-                Err(EnvFail::Closed) => Ok(None),
-                Err(EnvFail::Error(e)) => Err(e),
-            }
-        };
-    let mut state: Vec<(J::K, J::S)> = Vec::new();
-    let mut global: Vec<(J::K, J::S)> = Vec::new();
-    let mut prev_out: Option<Vec<(J::K, J::S)>> = None;
-    if epoch == 0 {
-        if one2all {
-            // Every map task holds the full (small) broadcast state.
-            for i in 0..cfg.num_state_parts {
-                match load_part(env, &dirs.state_dir, i)? {
-                    Some(part) => global.extend(part),
-                    None => return Ok(PairOutcome::Aborted),
-                }
-            }
-            sort_run(&mut global);
-        } else {
-            state = match load_part(env, &dirs.state_dir, q)? {
-                Some(part) => part,
-                None => return Ok(PairOutcome::Aborted),
-            };
-        }
-    } else {
-        let snap = snapshot_dir(&dirs.output_dir, epoch);
-        if one2all {
-            // Part i is pair i's reduce output at the epoch iteration;
-            // the broadcast state is their task-ordered concatenation,
-            // exactly as the live hand-off rebuilds it.
-            for i in 0..n {
-                let part = match load_part(env, &snap, i)? {
-                    Some(part) => part,
-                    None => return Ok(PairOutcome::Aborted),
-                };
-                if i == q {
-                    prev_out = Some(part.clone());
-                }
-                global.extend(part);
-            }
-            sort_run(&mut global);
-        } else {
-            state = match load_part(env, &snap, q)? {
-                Some(part) => part,
-                None => return Ok(PairOutcome::Aborted),
-            };
+/// One pair's mode-specific iteration body; [`drive`] runs it through
+/// the shared per-iteration tail.
+trait PairBody<E: PairEnv> {
+    /// Runs iteration `it`: its data path, its transport exchanges and
+    /// its emulated slowdown.
+    fn step(&mut self, it: usize, ctx: &PairCtx<'_>, env: &mut E) -> Result<Work, EnvFail>;
+    /// The encoded checkpoint snapshot at the end of an iteration.
+    fn snapshot(&self) -> Bytes;
+    /// The encoded final partition.
+    fn finish(self) -> Bytes
+    where
+        Self: Sized,
+    {
+        self.snapshot()
+    }
+}
+
+/// Emulated slowdowns, shared by both bodies. A node speed below 1.0
+/// stretches this pair's compute time proportionally (heterogeneous
+/// hardware); a scripted Delay adds a fixed pause at its iteration.
+/// Returns the stretched busy figure, so the balancer and watchdog see
+/// the stretched load.
+fn slow_down(plan: &PairPlan, it: usize, busy: Duration) -> f64 {
+    let mut busy_secs = busy.as_secs_f64();
+    if plan.speed < 1.0 {
+        let extra = busy.as_secs_f64() * (1.0 / plan.speed - 1.0);
+        std::thread::sleep(Duration::from_secs_f64(extra));
+        busy_secs += extra;
+    }
+    for &(at, millis) in &plan.delays {
+        if at == it {
+            let pause = Duration::from_millis(millis);
+            std::thread::sleep(pause);
+            busy_secs += pause.as_secs_f64();
         }
     }
+    busy_secs
+}
 
-    for it in (epoch + 1)..=cfg.max_iters {
+/// The per-iteration loop: map/reduce iterations until termination.
+/// `Err` carries real failures (DFS, codec); scripted exits and
+/// peer-death unwinds come back as `Ok` outcomes.
+pub(crate) fn pair_loop<J: IterativeJob, E: PairEnv>(
+    job: &J,
+    ctx: &PairCtx<'_>,
+    env: &mut E,
+    log: &mut PairLog,
+) -> Result<PairOutcome, EngineError> {
+    drive(ctx, env, log, |env| MapReduce::load(job, ctx, env))
+}
+
+/// The barrier-free delta-accumulative loop (Maiter-style), sharing
+/// `pair_loop`'s environment contract and supervision surface.
+///
+/// One "iteration" here is a termination-check epoch of
+/// `cfg.check_every` rounds. Each round the pair applies its
+/// highest-priority pending deltas, sends exactly one (possibly empty)
+/// ⊕-merged delta segment to EVERY peer — the same send-all/recv-all
+/// pattern the shuffle uses, so the buffered transport cannot deadlock
+/// — and merges the segments received from every peer in source order.
+/// With zero in-flight data at each round boundary and commutative ⊕,
+/// the whole mode is deterministic: every engine computes bit-identical
+/// stores.
+///
+/// The check epoch is also the unit of supervision: heartbeats,
+/// checkpoints (the encoded `(key, (value, delta))` store), scripted
+/// faults and the rollback protocol all count checks, which is what
+/// lets `supervise` drive this loop unchanged.
+pub(crate) fn delta_loop<J: Accumulative, E: PairEnv>(
+    job: &J,
+    ctx: &PairCtx<'_>,
+    env: &mut E,
+    log: &mut PairLog,
+) -> Result<PairOutcome, EngineError> {
+    drive(ctx, env, log, |env| Delta::load(job, ctx, env))
+}
+
+/// Loads a body, then runs it from `ctx.epoch + 1` to a terminal
+/// outcome through the shared per-iteration tail.
+fn drive<E: PairEnv, B: PairBody<E>>(
+    ctx: &PairCtx<'_>,
+    env: &mut E,
+    log: &mut PairLog,
+    load: impl FnOnce(&mut E) -> Result<B, EnvFail>,
+) -> Result<PairOutcome, EngineError> {
+    ctx.metrics.tasks_launched.add(2);
+    match load(env).and_then(|body| iterate(body, ctx, env, log)) {
+        Ok(outcome) => Ok(outcome),
+        Err(EnvFail::Closed) => Ok(PairOutcome::Aborted),
+        Err(EnvFail::Error(e)) => Err(e),
+    }
+}
+
+fn iterate<E: PairEnv, B: PairBody<E>>(
+    mut body: B,
+    ctx: &PairCtx<'_>,
+    env: &mut E,
+    log: &mut PairLog,
+) -> Result<PairOutcome, EnvFail> {
+    let (cfg, plan) = (ctx.cfg, ctx.plan);
+    for it in (ctx.epoch + 1)..=cfg.max_iters {
         // A poisoned environment means the generation is being torn
         // down (peer death or a monitor intervention). In async mode no
         // barrier wait may be reached before the next blocking shuffle
         // op, so check explicitly: the unwind must cascade even when
         // this pair's own links are still healthy.
         if env.is_poisoned() {
-            return Ok(PairOutcome::Aborted);
+            return Err(EnvFail::Closed);
         }
-        if cfg.sync {
-            let wait_start = Instant::now();
-            if env.barrier_wait().is_err() {
-                return Ok(PairOutcome::Aborted);
-            }
-            env.phase(Phase::BarrierWait, wait_start.elapsed().as_nanos() as u64);
-        }
-        // Busy time = compute only (map + reduce spans), excluding
-        // shuffle blocking — the load signal §3.4.2's balancer keys on.
-        let mut busy = Duration::ZERO;
-        let iter_start_ns = started.elapsed().as_nanos() as u64;
-        env.trace(
-            TraceEvent::new(TraceKind::IterStart)
-                .at(iter_start_ns)
-                .tagged(0, q as u32, it as u32, 0),
-        );
-        let map_start = Instant::now();
-
-        // ---- Map phase -----------------------------------------------
-        let mut emitter = Emitter::new();
-        let records_in: u64 = if one2all {
-            for (k, t) in &stat {
-                job.map(k, StateInput::All(&global), t, &mut emitter);
-            }
-            stat.len() as u64
-        } else {
-            assert_eq!(
-                state.len(),
-                stat.len(),
-                "state/static co-partitioning broken at pair {q}"
-            );
-            for ((ks, s), (kt, t)) in state.iter().zip(&stat) {
-                assert!(ks == kt, "state/static keys diverged at pair {q}");
-                job.map(ks, StateInput::One(s), t, &mut emitter);
-            }
-            state.len() as u64
-        };
-        metrics.map_input_records.add(records_in);
-
-        let mut partitions: Vec<Vec<(J::K, J::S)>> = (0..n).map(|_| Vec::new()).collect();
-        for (k, v) in emitter.into_pairs() {
-            let t = job.partition(&k, n);
-            partitions[t].push((k, v));
-        }
-        let segs: Vec<Bytes> = partitions
-            .into_iter()
-            .map(|mut part| {
-                sort_run(&mut part);
-                let final_part: Vec<(J::K, J::S)> = if job.has_combiner() {
-                    let mut combined = Vec::new();
-                    for (k, vals) in group_sorted(part) {
-                        for v in job.combine(&k, vals) {
-                            combined.push((k.clone(), v));
-                        }
-                    }
-                    combined
-                } else {
-                    part
-                };
-                encode_pairs(&final_part)
-            })
-            .collect();
-        busy += map_start.elapsed();
-        let map_end_ns = started.elapsed().as_nanos() as u64;
-        env.trace(
-            TraceEvent::new(TraceKind::MapPhase)
-                .spanning(iter_start_ns, map_end_ns)
-                .tagged(0, q as u32, it as u32, 0),
-        );
-        env.phase(Phase::Map, map_end_ns.saturating_sub(iter_start_ns));
-        // Sends sit outside the busy span: a blocked send is
-        // back-pressure from a slow consumer, not this pair's load.
-        for (dest, seg) in segs.into_iter().enumerate() {
-            metrics.shuffle_local_bytes.add(seg.len() as u64);
-            if env.send(dest, seg).is_err() {
-                return Ok(PairOutcome::Aborted);
-            }
-        }
-
-        // ---- Reduce phase --------------------------------------------
-        // Drain peers in task order: merge_runs breaks key ties by run
-        // index, so the run order must match the simulation engine's.
-        // Blocking receives stay outside the busy span.
-        let mut raw_segs: Vec<Bytes> = Vec::with_capacity(n);
-        for src in 0..n {
-            match env.recv(src) {
-                Ok(seg) => raw_segs.push(seg),
-                Err(Closed) => return Ok(PairOutcome::Aborted),
-            }
-        }
-        let reduce_start_ns = started.elapsed().as_nanos() as u64;
-        let reduce_start = Instant::now();
-        let mut runs: Vec<Vec<(J::K, J::S)>> = Vec::with_capacity(n);
-        let mut total_rec = 0u64;
-        for seg in raw_segs {
-            let run: Vec<(J::K, J::S)> = decode_pairs(seg)?;
-            total_rec += run.len() as u64;
-            runs.push(run);
-        }
-        metrics.reduce_input_records.add(total_rec);
-        let merged = merge_runs(runs);
-        let mut reduced: Vec<(J::K, J::S)> = Vec::new();
-        for (k, vals) in group_sorted(merged) {
-            let s = job.reduce(&k, vals);
-            reduced.push((k, s));
-        }
-        let new_state = if one2all {
-            reduced
-        } else {
-            carry_forward(reduced, &state)
-        };
-
-        // Local distance vs the previous snapshot (§3.1.2).
-        let mut d = 0.0f64;
-        let mut has_prev = false;
-        if cfg.threshold.is_some() {
-            let prev: Option<&[(J::K, J::S)]> = if one2all {
-                prev_out.as_deref()
-            } else {
-                Some(&state)
-            };
-            if let Some(prev) = prev {
-                has_prev = true;
-                d = distance_sorted(job, prev, &new_state);
-            }
-        }
-        local_dist.push((d, has_prev));
-        busy += reduce_start.elapsed();
-
-        // ---- Emulated slowdowns --------------------------------------
-        // A node speed below 1.0 stretches this pair's compute time
-        // proportionally (heterogeneous hardware); a scripted Delay adds
-        // a fixed pause at its iteration. Both feed the heartbeat's busy
-        // figure so the balancer and watchdog see the stretched load.
-        let mut effective_busy = busy.as_secs_f64();
-        if plan.speed < 1.0 {
-            let extra = busy.as_secs_f64() * (1.0 / plan.speed - 1.0);
-            std::thread::sleep(Duration::from_secs_f64(extra));
-            effective_busy += extra;
-        }
-        for &(at, millis) in &plan.delays {
-            if at == it {
-                let pause = Duration::from_millis(millis);
-                std::thread::sleep(pause);
-                effective_busy += pause.as_secs_f64();
-            }
-        }
-        // The emulated stretch is compute time on the slow node, so it
-        // lands inside the reduce span — mirroring the simulation
-        // engine, whose cost model stretches the reduce work directly.
-        let reduce_end_ns = started.elapsed().as_nanos() as u64;
-        env.trace(
-            TraceEvent::new(TraceKind::ReducePhase)
-                .spanning(reduce_start_ns, reduce_end_ns)
-                .tagged(0, q as u32, it as u32, 0),
-        );
-        env.phase(Phase::Reduce, reduce_end_ns.saturating_sub(reduce_start_ns));
-
-        // ---- State hand-off back to the map side ---------------------
-        let handoff_start = Instant::now();
-        if one2all {
-            let payload = encode_pairs(&new_state);
-            let payload_len = payload.len() as u64;
-            metrics.broadcast_bytes.add(payload_len * (n as u64 - 1));
-            let parts = match env.exchange_broadcast(payload) {
-                Ok(parts) => parts,
-                Err(Closed) => return Ok(PairOutcome::Aborted),
-            };
-            env.trace(
-                TraceEvent::new(TraceKind::Broadcast { bytes: payload_len })
-                    .at(started.elapsed().as_nanos() as u64)
-                    .tagged(0, q as u32, it as u32, 0),
-            );
-            // Task-ordered concatenation + stable sort: identical to
-            // the simulation engine's broadcast reassembly.
-            let mut next_global: Vec<(J::K, J::S)> = Vec::new();
-            for part in parts {
-                next_global.extend(decode_pairs::<J::K, J::S>(part)?);
-            }
-            sort_run(&mut next_global);
-            prev_out = Some(new_state);
-            global = next_global;
-        } else {
-            let handoff_bytes = encode_pairs(&new_state).len() as u64;
-            metrics.state_handoff_bytes.add(handoff_bytes);
-            state = new_state;
-            env.trace(
-                TraceEvent::new(TraceKind::StateHandoff {
-                    bytes: handoff_bytes,
-                })
-                .at(started.elapsed().as_nanos() as u64)
-                .tagged(0, q as u32, it as u32, 0),
-            );
-        }
-        env.phase(Phase::Handoff, handoff_start.elapsed().as_nanos() as u64);
-        let end = started.elapsed();
-        iter_done.push(end);
-        env.trace(
-            TraceEvent::new(TraceKind::IterEnd)
-                .at(end.as_nanos() as u64)
-                .tagged(0, q as u32, it as u32, 0),
-        );
+        let work = body.step(it, ctx, env)?;
+        log.local_dist.push((work.d, work.has_prev));
+        let end = ctx.started.elapsed();
+        log.iter_done.push(end);
+        env.trace(ctx.tag(
+            TraceEvent::new(TraceKind::IterEnd).at(end.as_nanos() as u64),
+            it,
+        ));
         env.gauge(Gauge::HandoffDepth, env.inbound_backlog());
-        env.sample(end.as_nanos() as u64, it as u64);
-        env.beat(it, effective_busy, d, has_prev);
+        env.beat(&Beat {
+            iteration: it,
+            stamp_nanos: end.as_nanos() as u64,
+            busy_secs: work.busy_secs,
+            d: work.d,
+            has_prev: work.has_prev,
+            counts: work.counts,
+        });
 
         // ---- Termination check (§3.1.2) ------------------------------
         // Every pair evaluates the same verdict over the same
@@ -528,56 +448,33 @@ pub(crate) fn pair_loop<J: IterativeJob, E: PairEnv>(
         // iteration without a master round-trip.
         let mut converged = false;
         if let Some(eps) = cfg.threshold {
-            let (total, any_prev) = match env.exchange_distance(d, has_prev) {
-                Ok(v) => v,
-                Err(Closed) => return Ok(PairOutcome::Aborted),
-            };
+            let (total, any_prev) = env.exchange_distance(work.d, work.has_prev)?;
             converged = any_prev && total < eps;
         }
         let done = converged || it == cfg.max_iters;
 
         // ---- Checkpointing (§3.4.1) ----------------------------------
-        // The pair's snapshot is its reduce-side state at the end of
-        // iteration `it`: the carried-forward partition under one2one,
-        // the pair's own reduce output under one2all (the broadcast
-        // state is reassembled from all parts on reload). Written
-        // atomically, so a crash mid-checkpoint leaves the previous
-        // epoch intact. Same gating as the simulation engine: never on
-        // the final iteration.
+        // Written atomically, so a crash mid-checkpoint leaves the
+        // previous epoch intact. Same gating as the simulation engine:
+        // never on the final iteration.
         if !done && cfg.checkpoint_interval > 0 && it.is_multiple_of(cfg.checkpoint_interval) {
-            let snapshot: &[(J::K, J::S)] = if one2all {
-                prev_out.as_deref().expect("one2all snapshot exists")
-            } else {
-                &state
-            };
-            let payload = encode_pairs(snapshot);
-            metrics.checkpoint_bytes.add(payload.len() as u64);
+            let payload = body.snapshot();
+            ctx.metrics.checkpoint_bytes.add(payload.len() as u64);
             let ckpt_start = Instant::now();
-            match env.write_checkpoint(it, payload, local_dist) {
-                Ok(()) => {
-                    *last_ckpt = it;
-                    env.phase(
-                        Phase::CheckpointWrite,
-                        ckpt_start.elapsed().as_nanos() as u64,
-                    );
-                    env.trace(
-                        TraceEvent::new(TraceKind::Checkpoint { epoch: it as u64 })
-                            .at(started.elapsed().as_nanos() as u64)
-                            .tagged(0, q as u32, it as u32, 0),
-                    );
-                }
-                Err(EnvFail::Closed) => return Ok(PairOutcome::Aborted),
-                Err(EnvFail::Error(e)) => return Err(e),
-            }
+            env.write_checkpoint(it, payload, &log.local_dist)?;
+            log.last_ckpt = it;
+            env.phase(
+                Phase::CheckpointWrite,
+                ckpt_start.elapsed().as_nanos() as u64,
+            );
+            env.trace(ctx.tag(
+                TraceEvent::new(TraceKind::Checkpoint { epoch: it as u64 }).at(ctx.now_ns()),
+                it,
+            ));
         }
         if done {
-            let final_pairs = if one2all {
-                prev_out.unwrap_or_default()
-            } else {
-                state
-            };
             return Ok(PairOutcome::Finished {
-                final_data: encode_pairs(&final_pairs),
+                final_data: body.finish(),
                 iterations: it,
             });
         }
@@ -605,246 +502,291 @@ pub(crate) fn pair_loop<J: IterativeJob, E: PairEnv>(
     // Only reachable when the epoch already sits at max_iters (a
     // failure scripted for the final iteration never fires, so the
     // loop above always terminates through the done-check).
-    unreachable!("pair {q} left the iteration loop without finishing");
+    unreachable!("pair {} left the iteration loop without finishing", ctx.q);
 }
 
-/// The barrier-free delta-accumulative loop (Maiter-style), sharing
-/// `pair_loop`'s environment contract and supervision surface.
-///
-/// One "iteration" here is a termination-check epoch of
-/// `cfg.check_every` rounds. Each round the pair applies its
-/// highest-priority pending deltas, sends exactly one (possibly empty)
-/// ⊕-merged delta segment to EVERY peer — the same send-all/recv-all
-/// pattern the shuffle uses, so the buffered transport cannot deadlock
-/// — and merges the segments received from every peer in source order.
-/// With zero in-flight data at each round boundary and commutative ⊕,
-/// the whole mode is deterministic: every engine computes bit-identical
-/// stores.
-///
-/// The check epoch is also the unit of supervision: heartbeats,
-/// checkpoints (the encoded `(key, (value, delta))` store), scripted
-/// faults and the rollback protocol all count checks, which is what
-/// lets `supervise` drive this loop unchanged.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn delta_loop<J: imapreduce::Accumulative, E: PairEnv>(
-    q: usize,
-    job: &J,
-    cfg: &PairCfg,
-    dirs: &PairDirs,
-    plan: &PairPlan,
-    epoch: usize,
-    metrics: &MetricsHandle,
-    env: &mut E,
-    started: Instant,
-    local_dist: &mut Vec<(f64, bool)>,
-    iter_done: &mut Vec<Duration>,
-    last_ckpt: &mut usize,
-) -> Result<PairOutcome, EngineError> {
-    use imapreduce::{partition_deltas, DeltaStore};
+/// Map/reduce iterations (§3.2).
+struct MapReduce<'j, J: IterativeJob> {
+    job: &'j J,
+    one2all: bool,
+    stat: Vec<(J::K, J::T)>,
+    /// The map side's state: this pair's part under one2one, the full
+    /// broadcast state under one2all.
+    state: Vec<(J::K, J::S)>,
+    /// One2all: this pair's previous reduce output (the distance
+    /// baseline, the checkpoint snapshot and the final output).
+    prev_out: Option<Vec<(J::K, J::S)>>,
+}
 
-    let n = cfg.n;
-    let eps = cfg
-        .threshold
-        .expect("validate: accumulative mode needs a threshold");
-    metrics.tasks_launched.add(2);
-
-    // ---- One-time load: static partition + delta store ---------------
-    // Epoch 0 seeds the store from the initial state part; epoch e > 0
-    // restores the full `(key, (value, delta))` snapshot written at
-    // check `e`.
-    let stat: Vec<(J::K, J::T)> = match env.read_part(&dirs.static_dir, q) {
-        Ok(raw) => decode_pairs(raw)?,
-        Err(EnvFail::Closed) => return Ok(PairOutcome::Aborted),
-        Err(EnvFail::Error(e)) => return Err(e),
-    };
-    let mut store: DeltaStore<J::K, J::S> = if epoch == 0 {
-        match env.read_part(&dirs.state_dir, q) {
-            Ok(raw) if cfg.incremental => {
-                // Warm start: the part holds the planner's
-                // (key, (value, pending)) entries. Verify against the
-                // coordinator's Patch expectation before restoring.
-                let entries = decode_pairs::<J::K, (J::S, J::S)>(raw.clone())?;
-                match env.patch_verify(&raw, entries.len()) {
-                    Ok(()) => {}
-                    Err(EnvFail::Closed) => return Ok(PairOutcome::Aborted),
-                    Err(EnvFail::Error(e)) => return Err(e),
+impl<'j, J: IterativeJob> MapReduce<'j, J> {
+    /// One-time load: the static partition plus the state at the
+    /// generation's epoch. Epoch 0 is the job's initial input; epoch
+    /// e > 0 is the snapshot the pairs wrote at the end of iteration e
+    /// (one part per pair).
+    fn load<E: PairEnv>(job: &'j J, ctx: &PairCtx<'_>, env: &mut E) -> Result<Self, EnvFail> {
+        let (q, cfg) = (ctx.q, ctx.cfg);
+        let stat = decode_pairs(env.read_part(&ctx.dirs.static_dir, q)?)?;
+        let (dir, parts) = if ctx.epoch == 0 {
+            (ctx.dirs.state_dir.clone(), cfg.num_state_parts)
+        } else {
+            (snapshot_dir(&ctx.dirs.output_dir, ctx.epoch), cfg.n)
+        };
+        let mut state: Vec<(J::K, J::S)> = Vec::new();
+        let mut prev_out = None;
+        if cfg.one2all {
+            // Every map task holds the full (small) broadcast state. In
+            // a snapshot, part i is pair i's reduce output at the epoch
+            // iteration; the broadcast state is their task-ordered
+            // concatenation, exactly as the live hand-off rebuilds it.
+            for i in 0..parts {
+                let part: Vec<(J::K, J::S)> = decode_pairs(env.read_part(&dir, i)?)?;
+                if ctx.epoch > 0 && i == q {
+                    prev_out = Some(part.clone());
                 }
-                DeltaStore::restore(entries)
+                state.extend(part);
             }
-            Ok(raw) => DeltaStore::seed(job, &decode_pairs::<J::K, J::S>(raw)?),
-            Err(EnvFail::Closed) => return Ok(PairOutcome::Aborted),
-            Err(EnvFail::Error(e)) => return Err(e),
+            sort_run(&mut state);
+        } else {
+            state = decode_pairs(env.read_part(&dir, q)?)?;
         }
-    } else {
-        let snap = snapshot_dir(&dirs.output_dir, epoch);
-        match env.read_part(&snap, q) {
-            Ok(raw) => DeltaStore::decode(raw)?,
-            Err(EnvFail::Closed) => return Ok(PairOutcome::Aborted),
-            Err(EnvFail::Error(e)) => return Err(e),
-        }
-    };
-    assert_eq!(
-        store.len(),
-        stat.len(),
-        "state/static co-partitioning broken at pair {q}"
-    );
+        Ok(MapReduce {
+            job,
+            one2all: cfg.one2all,
+            stat,
+            state,
+            prev_out,
+        })
+    }
+}
 
-    for check in (epoch + 1)..=cfg.max_iters {
-        if env.is_poisoned() {
-            return Ok(PairOutcome::Aborted);
+impl<J: IterativeJob, E: PairEnv> PairBody<E> for MapReduce<'_, J> {
+    fn step(&mut self, it: usize, ctx: &PairCtx<'_>, env: &mut E) -> Result<Work, EnvFail> {
+        let (n, one2all) = (ctx.cfg.n, self.one2all);
+        let mut counts = IterCounts::default();
+        if ctx.cfg.sync {
+            let wait_start = Instant::now();
+            env.barrier_wait()?;
+            env.phase(Phase::BarrierWait, wait_start.elapsed().as_nanos() as u64);
         }
-        let mut busy = Duration::ZERO;
-        let check_start_ns = started.elapsed().as_nanos() as u64;
-        env.trace(
-            TraceEvent::new(TraceKind::IterStart)
-                .at(check_start_ns)
-                .tagged(0, q as u32, check as u32, 0),
+        // Busy time = compute only (map + reduce spans), excluding
+        // shuffle blocking — the load signal §3.4.2's balancer keys on.
+        let iter_start_ns = ctx.now_ns();
+        env.trace(ctx.tag(TraceEvent::new(TraceKind::IterStart).at(iter_start_ns), it));
+        let map_start = Instant::now();
+        let out = map_step(
+            self.job,
+            ctx.q,
+            &self.stat,
+            &self.state,
+            one2all,
+            n,
+            &mut (),
         );
-        let mut check_deltas = 0u64;
-        let mut check_preempt = 0u64;
+        counts.map_input_records = out.records_in;
+        let mut busy = map_start.elapsed();
+        let map_end_ns = ctx.now_ns();
+        env.trace(ctx.tag(
+            TraceEvent::new(TraceKind::MapPhase).spanning(iter_start_ns, map_end_ns),
+            it,
+        ));
+        env.phase(Phase::Map, map_end_ns.saturating_sub(iter_start_ns));
+        // Sends sit outside the busy span: a blocked send is
+        // back-pressure from a slow consumer, not this pair's load.
+        for (dest, seg) in out.segments.into_iter().enumerate() {
+            ctx.metrics.shuffle_local_bytes.add(seg.len() as u64);
+            env.send(dest, seg)?;
+        }
+        // Drain peers in task order: merge_runs breaks key ties by run
+        // index, so the run order must match the simulation engine's.
+        // Blocking receives stay outside the busy span.
+        let segs = (0..n)
+            .map(|src| env.recv(src))
+            .collect::<Result<Vec<Bytes>, Closed>>()?;
+        let reduce_start_ns = ctx.now_ns();
+        let reduce_start = Instant::now();
+        let prev = match ctx.cfg.threshold {
+            None => None,
+            Some(_) if one2all => self.prev_out.as_deref(),
+            Some(_) => Some(&self.state[..]),
+        };
+        let carry = (!one2all).then_some(&self.state[..]);
+        let out = reduce_step(self.job, segs, carry, prev, &mut ())?;
+        counts.reduce_input_records = out.records_in;
+        busy += reduce_start.elapsed();
+        // The emulated stretch is compute time on the slow node, so it
+        // lands inside the reduce span — mirroring the simulation
+        // engine, whose cost model stretches the reduce work directly.
+        let busy_secs = slow_down(ctx.plan, it, busy);
+        let reduce_end_ns = ctx.now_ns();
+        env.trace(ctx.tag(
+            TraceEvent::new(TraceKind::ReducePhase).spanning(reduce_start_ns, reduce_end_ns),
+            it,
+        ));
+        env.phase(Phase::Reduce, reduce_end_ns.saturating_sub(reduce_start_ns));
 
-        for _round in 0..cfg.check_every {
+        // ---- State hand-off back to the map side ---------------------
+        let handoff_start = Instant::now();
+        if one2all {
+            let payload = encode_pairs(&out.state);
+            let bytes = payload.len() as u64;
+            let peers = ctx.cfg.n as u64 - 1;
+            ctx.metrics.broadcast_bytes.add(bytes * peers);
+            let parts = env.exchange_broadcast(payload)?;
+            env.trace(ctx.tag(
+                TraceEvent::new(TraceKind::Broadcast { bytes }).at(ctx.now_ns()),
+                it,
+            ));
+            // Task-ordered concatenation + stable sort: identical to
+            // the simulation engine's broadcast reassembly.
+            self.state.clear();
+            for part in parts {
+                self.state.extend(decode_pairs::<J::K, J::S>(part)?);
+            }
+            sort_run(&mut self.state);
+            self.prev_out = Some(out.state);
+        } else {
+            let bytes = encode_pairs(&out.state).len() as u64;
+            counts.state_handoff_bytes = bytes;
+            self.state = out.state;
+            env.trace(ctx.tag(
+                TraceEvent::new(TraceKind::StateHandoff { bytes }).at(ctx.now_ns()),
+                it,
+            ));
+        }
+        env.phase(Phase::Handoff, handoff_start.elapsed().as_nanos() as u64);
+        Ok(Work {
+            busy_secs,
+            d: out.distance.unwrap_or(0.0),
+            has_prev: out.distance.is_some(),
+            counts,
+        })
+    }
+
+    /// The reduce-side state at the end of the iteration: the
+    /// carried-forward partition under one2one, the pair's own reduce
+    /// output under one2all (the broadcast state is reassembled from
+    /// all parts on reload).
+    fn snapshot(&self) -> Bytes {
+        if self.one2all {
+            encode_pairs(self.prev_out.as_deref().unwrap_or_default())
+        } else {
+            encode_pairs(&self.state)
+        }
+    }
+}
+
+/// A delta-accumulative check epoch of `check_every` rounds.
+struct Delta<'j, J: Accumulative> {
+    job: &'j J,
+    stat: Vec<(J::K, J::T)>,
+    store: DeltaStore<J::K, J::S>,
+}
+
+impl<'j, J: Accumulative> Delta<'j, J> {
+    /// One-time load: the static partition plus the delta store. Epoch
+    /// 0 seeds the store from the initial state part (or restores an
+    /// incremental warm start); epoch e > 0 restores the full
+    /// `(key, (value, delta))` snapshot written at check `e`.
+    fn load<E: PairEnv>(job: &'j J, ctx: &PairCtx<'_>, env: &mut E) -> Result<Self, EnvFail> {
+        let q = ctx.q;
+        let stat: Vec<(J::K, J::T)> = decode_pairs(env.read_part(&ctx.dirs.static_dir, q)?)?;
+        let store = if ctx.epoch > 0 {
+            let snap = snapshot_dir(&ctx.dirs.output_dir, ctx.epoch);
+            DeltaStore::decode(env.read_part(&snap, q)?)?
+        } else if ctx.cfg.incremental {
+            // Warm start: the part holds the planner's
+            // (key, (value, pending)) entries. Verify against the
+            // coordinator's Patch expectation before restoring.
+            let raw = env.read_part(&ctx.dirs.state_dir, q)?;
+            let entries = decode_pairs::<J::K, (J::S, J::S)>(raw.clone())?;
+            env.patch_verify(&raw, entries.len())?;
+            DeltaStore::restore(entries)
+        } else {
+            let raw = env.read_part(&ctx.dirs.state_dir, q)?;
+            DeltaStore::seed(job, &decode_pairs::<J::K, J::S>(raw)?)
+        };
+        assert_eq!(
+            store.len(),
+            stat.len(),
+            "state/static co-partitioning broken at pair {q}"
+        );
+        Ok(Delta { job, stat, store })
+    }
+}
+
+impl<J: Accumulative, E: PairEnv> PairBody<E> for Delta<'_, J> {
+    fn step(&mut self, it: usize, ctx: &PairCtx<'_>, env: &mut E) -> Result<Work, EnvFail> {
+        let n = ctx.cfg.n;
+        let mut counts = IterCounts::default();
+        let mut busy = Duration::ZERO;
+        env.trace(ctx.tag(TraceEvent::new(TraceKind::IterStart).at(ctx.now_ns()), it));
+        for _round in 0..ctx.cfg.check_every {
             // ---- Round phase A: select, apply, extract, send ---------
-            let round_start_ns = started.elapsed().as_nanos() as u64;
+            let round_start_ns = ctx.now_ns();
             let work_start = Instant::now();
-            let batch = store.select_batch(job, &stat, cfg.delta_batch);
-            let dests = partition_deltas(job, batch.emitted, n);
-            let sent: u64 = dests.iter().map(|d| d.len() as u64).sum();
-            metrics.deltas_sent.add(sent);
-            metrics.priority_preemptions.add(batch.deferred as u64);
-            check_deltas += sent;
-            check_preempt += batch.deferred as u64;
-            let segs: Vec<Bytes> = dests.iter().map(|dest| encode_pairs(dest)).collect();
+            let batch = ctx.cfg.delta_batch;
+            let out = delta_send_step(self.job, &mut self.store, &self.stat, batch, n, &mut ());
+            counts.deltas_sent += out.sent;
+            counts.priority_preemptions += out.deferred;
             busy += work_start.elapsed();
-            let round_end_ns = started.elapsed().as_nanos() as u64;
+            let round_end_ns = ctx.now_ns();
             env.trace(
-                TraceEvent::new(TraceKind::DeltaRound { deltas: sent })
-                    .spanning(round_start_ns, round_end_ns)
-                    .tagged(0, q as u32, check as u32, 0),
+                ctx.tag(
+                    TraceEvent::new(TraceKind::DeltaRound { deltas: out.sent })
+                        .spanning(round_start_ns, round_end_ns),
+                    it,
+                ),
             );
             // A delta round's select/apply/send half is the
             // accumulative analogue of the map phase.
             env.phase(Phase::Map, round_end_ns.saturating_sub(round_start_ns));
             // Sends sit outside the busy span (back-pressure, not load).
-            for (dest, seg) in segs.into_iter().enumerate() {
-                metrics.shuffle_local_bytes.add(seg.len() as u64);
-                if env.send_delta(dest, seg).is_err() {
-                    return Ok(PairOutcome::Aborted);
-                }
+            for (dest, seg) in out.segments.into_iter().enumerate() {
+                ctx.metrics.shuffle_local_bytes.add(seg.len() as u64);
+                env.send_delta(dest, seg)?;
             }
             // ---- Round phase B: receive from every peer, merge in
             // source order ---------------------------------------------
-            let mut raw_segs: Vec<Bytes> = Vec::with_capacity(n);
-            for src in 0..n {
-                match env.recv_delta(src) {
-                    Ok(seg) => raw_segs.push(seg),
-                    Err(Closed) => return Ok(PairOutcome::Aborted),
-                }
-            }
+            let segs = (0..n)
+                .map(|src| env.recv_delta(src))
+                .collect::<Result<Vec<Bytes>, Closed>>()?;
             let merge_start = Instant::now();
-            for seg in raw_segs {
-                let pairs: Vec<(J::K, J::S)> = decode_pairs(seg)?;
-                store.merge_segment(job, &pairs);
-            }
+            delta_merge_step(self.job, &mut self.store, segs, &mut ())?;
             let merge_elapsed = merge_start.elapsed();
             busy += merge_elapsed;
             // The receive/merge half plays the reduce role.
             env.phase(Phase::Reduce, merge_elapsed.as_nanos() as u64);
         }
-
         // ---- Global accumulated-progress termination check -----------
-        let local = store.pending_progress(job);
-        local_dist.push((local, true));
-
-        // ---- Emulated slowdowns (same contract as pair_loop) ---------
-        let mut effective_busy = busy.as_secs_f64();
-        if plan.speed < 1.0 {
-            let extra = busy.as_secs_f64() * (1.0 / plan.speed - 1.0);
-            std::thread::sleep(Duration::from_secs_f64(extra));
-            effective_busy += extra;
-        }
-        for &(at, millis) in &plan.delays {
-            if at == check {
-                let pause = Duration::from_millis(millis);
-                std::thread::sleep(pause);
-                effective_busy += pause.as_secs_f64();
-            }
-        }
+        counts.termination_checks = 1;
+        let progress = self.store.pending_progress(self.job);
+        let busy_secs = slow_down(ctx.plan, it, busy);
         env.trace(
-            TraceEvent::new(TraceKind::TerminationCheck {
-                progress_bits: local.to_bits(),
-            })
-            .at(started.elapsed().as_nanos() as u64)
-            .tagged(0, q as u32, check as u32, 0),
+            ctx.tag(
+                TraceEvent::new(TraceKind::TerminationCheck {
+                    progress_bits: progress.to_bits(),
+                })
+                .at(ctx.now_ns()),
+                it,
+            ),
         );
-        let end = started.elapsed();
-        iter_done.push(end);
-        env.trace(
-            TraceEvent::new(TraceKind::IterEnd)
-                .at(end.as_nanos() as u64)
-                .tagged(0, q as u32, check as u32, 0),
-        );
-        env.gauge(Gauge::PendingDeltaMass, local.to_bits());
-        env.gauge(Gauge::HandoffDepth, env.inbound_backlog());
-        env.sample(end.as_nanos() as u64, check as u64);
-        env.beat(check, effective_busy, local, true);
-        env.delta_stats(check_deltas, check_preempt, 1);
-        metrics.termination_checks.add(1);
-        let (total, _any_prev) = match env.exchange_distance(local, true) {
-            Ok(v) => v,
-            Err(Closed) => return Ok(PairOutcome::Aborted),
-        };
-        let converged = total < eps;
-        let done = converged || check == cfg.max_iters;
-
-        // ---- Checkpointing (§3.4.1): the full (value, delta) store ---
-        if !done && cfg.checkpoint_interval > 0 && check.is_multiple_of(cfg.checkpoint_interval) {
-            let payload = store.encode();
-            metrics.checkpoint_bytes.add(payload.len() as u64);
-            let ckpt_start = Instant::now();
-            match env.write_checkpoint(check, payload, local_dist) {
-                Ok(()) => {
-                    *last_ckpt = check;
-                    env.phase(
-                        Phase::CheckpointWrite,
-                        ckpt_start.elapsed().as_nanos() as u64,
-                    );
-                    env.trace(
-                        TraceEvent::new(TraceKind::Checkpoint {
-                            epoch: check as u64,
-                        })
-                        .at(started.elapsed().as_nanos() as u64)
-                        .tagged(0, q as u32, check as u32, 0),
-                    );
-                }
-                Err(EnvFail::Closed) => return Ok(PairOutcome::Aborted),
-                Err(EnvFail::Error(e)) => return Err(e),
-            }
-        }
-        if done {
-            let final_pairs = store.final_values(job);
-            return Ok(PairOutcome::Finished {
-                final_data: encode_pairs(&final_pairs),
-                iterations: check,
-            });
-        }
-
-        // ---- Scripted faults (same decision point as pair_loop) ------
-        if plan.kills.contains(&check) {
-            return Ok(PairOutcome::Induced {
-                at_iteration: check,
-            });
-        }
-        if plan.crash_after == Some(check) {
-            return Ok(PairOutcome::Vanish);
-        }
-        if plan.hangs.contains(&check) {
-            env.hang();
-            return Ok(PairOutcome::Stalled {
-                at_iteration: check,
-            });
-        }
+        env.gauge(Gauge::PendingDeltaMass, progress.to_bits());
+        Ok(Work {
+            busy_secs,
+            d: progress,
+            has_prev: true,
+            counts,
+        })
     }
 
-    unreachable!("pair {q} left the check loop without finishing");
+    /// The full `(value, delta)` store.
+    fn snapshot(&self) -> Bytes {
+        self.store.encode()
+    }
+
+    /// The values with any residual pending delta folded in: the
+    /// fixpoint the detector certified.
+    fn finish(self) -> Bytes {
+        encode_pairs(&self.store.final_values(self.job))
+    }
 }

@@ -41,7 +41,8 @@
 use crate::fault::FaultBarrier;
 use crate::monitor::{monitor_loop, BalancePlan, Intervention, ProgressBoard};
 use crate::pair::{
-    delta_loop, pair_loop, EnvFail, PairCfg, PairDirs, PairEnv, PairOutcome, PairPlan,
+    add_counts, delta_loop, pair_loop, Beat, EnvFail, PairCfg, PairCtx, PairDirs, PairEnv, PairLog,
+    PairOutcome, PairPlan,
 };
 use crate::supervisor::{assert_partitioning, supervise, GenInput, PairRun, RunOutcome};
 use crate::{NativeRunner, HANDOFF_BUFFER};
@@ -134,7 +135,7 @@ impl NativeRunner {
     /// the coordinator uses it only to decode the final output.
     ///
     /// Fault semantics, recovery, migration and determinism match
-    /// [`NativeRunner::run_faults`] exactly; additionally a worker
+    /// [`NativeRunner::run`] exactly; additionally a worker
     /// process that dies *without* a scripted cause (crash, kill -9,
     /// dropped connection) is detected as a recoverable fault and the
     /// job replays from the last checkpoint.
@@ -242,7 +243,7 @@ impl NativeRunner {
         if cfg.transport != TransportKind::Tcp {
             return Err(EngineError::Config(
                 "run_remote needs cfg.with_tcp_transport(); for the in-process \
-                 channel fabric use run_faults"
+                 channel fabric use run"
                     .into(),
             ));
         }
@@ -758,9 +759,11 @@ fn run_generation(
         .zip(state.iter_done)
         .zip(state.last_ckpt)
         .map(|(((outcome, local_dist), iter_done), last_ckpt)| PairRun {
-            local_dist,
-            iter_done,
-            last_ckpt,
+            log: PairLog {
+                local_dist,
+                iter_done,
+                last_ckpt,
+            },
             outcome: outcome.expect("settled worker has an outcome"),
         })
         .collect();
@@ -816,18 +819,6 @@ fn reader_loop(co: &Coordinator<'_>, q: usize, mut reader: FrameReader<ChaosStre
                         .add(payload.len() as u64);
                     co.send_to(dest, &ToWorker::Delta { src: q, payload });
                 }
-            }
-            ToCoord::DeltaStats {
-                deltas,
-                preemptions,
-                checks,
-            } => {
-                // Accumulative-mode counters are tallied worker-side and
-                // folded into the job's real registry here (the worker's
-                // local registry is a sink).
-                co.runner.metrics.deltas_sent.add(deltas);
-                co.runner.metrics.priority_preemptions.add(preemptions);
-                co.runner.metrics.termination_checks.add(checks);
             }
             ToCoord::PatchStats {
                 keys,
@@ -924,7 +915,12 @@ fn reader_loop(co: &Coordinator<'_>, q: usize, mut reader: FrameReader<ChaosStre
                 busy_secs,
                 d,
                 has_prev,
+                counts,
             } => {
+                // Data-path counters are tallied worker-side and folded
+                // into the job's registry here (the worker's local
+                // registry is a sink).
+                add_counts(&co.runner.metrics, &counts);
                 co.board.beat(q, iteration, busy_secs);
                 let mut st = co.state.lock();
                 st.local_dist[q].push((d, has_prev));
@@ -1301,19 +1297,31 @@ impl PairEnv for RemoteEnv {
             .write_checkpoint(iteration, payload, hist.to_vec())
             .map_err(|_| EnvFail::Closed)
     }
-    fn beat(&mut self, iteration: usize, busy_secs: f64, d: f64, has_prev: bool) {
+    fn beat(&mut self, beat: &Beat) {
+        // Counter columns ship as zeros; the coordinator overwrites
+        // them from its authoritative registry on merge.
+        self.telemetry.sample(
+            beat.stamp_nanos,
+            self.q,
+            self.generation,
+            beat.iteration as u64,
+            &MetricsSnapshot::default(),
+        );
         self.flush_trace();
         self.flush_telemetry();
-        self.conn.beat(iteration, busy_secs, d, has_prev);
+        self.conn.beat(
+            beat.iteration,
+            beat.busy_secs,
+            beat.d,
+            beat.has_prev,
+            beat.counts,
+        );
     }
     fn send_delta(&mut self, dest: usize, seg: Bytes) -> Result<(), Closed> {
         self.conn.send_delta(dest, seg)
     }
     fn recv_delta(&mut self, src: usize) -> Result<Bytes, Closed> {
         self.conn.recv_delta(src)
-    }
-    fn delta_stats(&mut self, deltas: u64, preemptions: u64, checks: u64) {
-        self.conn.send_delta_stats(deltas, preemptions, checks);
     }
     fn patch_verify(&mut self, raw: &Bytes, keys: usize) -> Result<(), EnvFail> {
         // Block for the coordinator's patch announcement (sent right
@@ -1347,17 +1355,6 @@ impl PairEnv for RemoteEnv {
     }
     fn gauge(&mut self, gauge: Gauge, value: u64) {
         self.telemetry.set_gauge(gauge, value);
-    }
-    fn sample(&mut self, stamp_nanos: u64, iteration: u64) {
-        // Counter columns ship as zeros; the coordinator overwrites
-        // them from its authoritative registry on merge.
-        self.telemetry.sample(
-            stamp_nanos,
-            self.q,
-            self.generation,
-            iteration,
-            &MetricsSnapshot::default(),
-        );
     }
 }
 
@@ -1397,31 +1394,13 @@ pub fn serve_worker_accum<J: imapreduce::Accumulative>(
     generation: u64,
     job_id: u64,
 ) -> Result<(), String> {
-    let accum: RemoteLoop<J> =
-        |pair, job, cfg, dirs, plan, epoch, metrics, env, started, ld, id, lc| {
-            delta_loop::<J, RemoteEnv>(
-                pair, job, cfg, dirs, plan, epoch, metrics, env, started, ld, id, lc,
-            )
-        };
-    serve_inner(job, addr, pair, generation, job_id, Some(accum))
+    serve_inner(job, addr, pair, generation, job_id, Some(delta_loop))
 }
 
 /// The worker-thread body a remote worker drives, as a fn pointer so
 /// one serving routine covers both iteration modes.
-type RemoteLoop<J> = fn(
-    usize,
-    &J,
-    &PairCfg,
-    &PairDirs,
-    &PairPlan,
-    usize,
-    &MetricsHandle,
-    &mut RemoteEnv,
-    Instant,
-    &mut Vec<(f64, bool)>,
-    &mut Vec<Duration>,
-    &mut usize,
-) -> Result<PairOutcome, EngineError>;
+type RemoteLoop<J> =
+    fn(&J, &PairCtx<'_>, &mut RemoteEnv, &mut PairLog) -> Result<PairOutcome, EngineError>;
 
 fn serve_inner<J: IterativeJob>(
     job: &J,
@@ -1473,9 +1452,16 @@ fn serve_inner<J: IterativeJob>(
         tel_sent: 0,
         tel_hists: Default::default(),
     };
-    let mut local_dist: Vec<(f64, bool)> = Vec::new();
-    let mut iter_done: Vec<Duration> = Vec::new();
-    let mut last_ckpt = setup.epoch;
+    let ctx = PairCtx {
+        q: pair,
+        cfg: &cfg,
+        dirs: &dirs,
+        plan: &plan,
+        epoch: setup.epoch,
+        metrics: &metrics,
+        started,
+    };
+    let mut log = PairLog::default();
     let loop_fn: RemoteLoop<J> = if cfg.accumulative {
         match accum {
             Some(f) => f,
@@ -1496,28 +1482,9 @@ fn serve_inner<J: IterativeJob>(
             }
         }
     } else {
-        |pair, job, cfg, dirs, plan, epoch, metrics, env, started, ld, id, lc| {
-            pair_loop::<J, RemoteEnv>(
-                pair, job, cfg, dirs, plan, epoch, metrics, env, started, ld, id, lc,
-            )
-        }
+        pair_loop
     };
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        loop_fn(
-            pair,
-            job,
-            &cfg,
-            &dirs,
-            &plan,
-            setup.epoch,
-            &metrics,
-            &mut env,
-            started,
-            &mut local_dist,
-            &mut iter_done,
-            &mut last_ckpt,
-        )
-    }));
+    let result = catch_unwind(AssertUnwindSafe(|| loop_fn(job, &ctx, &mut env, &mut log)));
     let wire = match result {
         Ok(Ok(PairOutcome::Vanish)) => std::process::exit(0),
         // An orderly drain: the coordinator asked the fleet to shut

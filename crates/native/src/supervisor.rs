@@ -10,7 +10,7 @@
 //! pairs first when the monitor asked for a migration (§3.4.2).
 
 use crate::monitor::Intervention;
-use crate::pair::{PairOutcome, PairPlan};
+use crate::pair::{PairLog, PairOutcome, PairPlan};
 use bytes::Bytes;
 use imapreduce::{FaultEvent, IterConfig, IterOutcome, IterativeJob, Mapping, RunCtl};
 use imr_dfs::{hist_path, migration_marker, resume_epoch, snapshot_dir, snapshot_epochs, Dfs};
@@ -68,15 +68,7 @@ impl From<PairOutcome> for RunOutcome {
 
 /// Everything one pair hands back to the supervisor for one generation.
 pub(crate) struct PairRun {
-    /// Per-iteration `(local_distance, had_previous_snapshot)`, one
-    /// entry per iteration the pair *completed* this generation.
-    pub local_dist: Vec<(f64, bool)>,
-    /// Wall-clock offset of each completed iteration's reduce, from job
-    /// start (monotone across generations).
-    pub iter_done: Vec<Duration>,
-    /// The last iteration whose snapshot this pair fully wrote to the
-    /// DFS (the generation's start epoch if it wrote none).
-    pub last_ckpt: usize,
+    pub log: PairLog,
     pub outcome: RunOutcome,
 }
 
@@ -324,7 +316,7 @@ pub(crate) fn supervise<J: IterativeJob>(
         // Roll back to the last epoch whose snapshot every pair
         // completed: async skew means a fast pair may have
         // checkpointed an iteration its slowest peer never reached.
-        let new_epoch = runs.iter().map(|r| r.last_ckpt).min().unwrap_or(epoch);
+        let new_epoch = runs.iter().map(|r| r.log.last_ckpt).min().unwrap_or(epoch);
         let now_ns = started.elapsed().as_nanos() as u64;
         // Consume each scripted event that fired (a node-level event
         // hosting several pairs fires once per event, as in the
@@ -532,8 +524,8 @@ pub(crate) fn supervise<J: IterativeJob>(
         generation += 1;
         let keep = new_epoch - epoch;
         for (q, r) in runs.into_iter().enumerate() {
-            committed_dist[q].extend(r.local_dist.into_iter().take(keep));
-            committed_done[q].extend(r.iter_done.into_iter().take(keep));
+            committed_dist[q].extend(r.log.local_dist.into_iter().take(keep));
+            committed_done[q].extend(r.log.iter_done.into_iter().take(keep));
         }
         // Snapshots past the rollback epoch are now stale; the next
         // generation rewrites them deterministically.
@@ -563,8 +555,8 @@ pub(crate) fn supervise<J: IterativeJob>(
                     );
                 }
                 final_parts.push(decode_pairs(final_data)?);
-                committed_dist[q].extend(r.local_dist);
-                committed_done[q].extend(r.iter_done);
+                committed_dist[q].extend(r.log.local_dist);
+                committed_done[q].extend(r.log.iter_done);
             }
             _ => unreachable!("non-finished run survived triage"),
         }

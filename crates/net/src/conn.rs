@@ -22,7 +22,7 @@
 
 use crate::frame::{FrameReader, FrameWriter};
 use crate::policy::NetPolicy;
-use crate::proto::{ToCoord, ToWorker, WireOutcome, WorkerSetup};
+use crate::proto::{IterCounts, ToCoord, ToWorker, WireOutcome, WorkerSetup};
 use crate::transport::{Closed, Transport};
 use crate::NetError;
 use bytes::Bytes;
@@ -289,13 +289,22 @@ impl WorkerConn {
         })
     }
 
-    /// Publish a heartbeat for the coordinator-side progress board.
-    pub fn beat(&mut self, iteration: usize, busy_secs: f64, d: f64, has_prev: bool) {
+    /// Publish a heartbeat for the coordinator-side progress board,
+    /// with the iteration's data-path counters.
+    pub fn beat(
+        &mut self,
+        iteration: usize,
+        busy_secs: f64,
+        d: f64,
+        has_prev: bool,
+        counts: IterCounts,
+    ) {
         let _ = self.write(&ToCoord::Beat {
             iteration,
             busy_secs,
             d,
             has_prev,
+            counts,
         });
     }
 
@@ -339,17 +348,6 @@ impl WorkerConn {
         let seg = self.wait_until(|s| s.delta_queues[src].pop_front())?;
         self.write(&ToCoord::Credit { src })?;
         Ok(seg)
-    }
-
-    /// Report per-check accumulative-mode counters; the coordinator
-    /// folds them into the job's real metrics registry. Best-effort,
-    /// like heartbeats.
-    pub fn send_delta_stats(&mut self, deltas: u64, preemptions: u64, checks: u64) {
-        let _ = self.write(&ToCoord::DeltaStats {
-            deltas,
-            preemptions,
-            checks,
-        });
     }
 
     /// Block until the coordinator's incremental-mode [`ToWorker::Patch`]

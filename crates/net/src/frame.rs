@@ -42,7 +42,7 @@ pub const MAX_FRAME: usize = 1 << 26;
 pub const WIRE_MAGIC: [u8; 4] = *b"IMRW";
 
 /// Wire protocol version negotiated by the preamble.
-pub const WIRE_VERSION: u32 = 2;
+pub const WIRE_VERSION: u32 = 3;
 
 /// Bytes of the per-direction preamble (magic + version).
 pub const PREAMBLE_LEN: usize = 8;
@@ -289,7 +289,10 @@ mod tests {
         let mut r = FrameReader::new(Cursor::new(buf));
         match r.expect_preamble() {
             Err(NetError::Version(msg)) => {
-                assert!(msg.contains('7') && msg.contains('2'), "got: {msg}")
+                assert!(
+                    msg.contains('7') && msg.contains(&WIRE_VERSION.to_string()),
+                    "got: {msg}"
+                )
             }
             other => panic!("expected Version error, got {other:?}"),
         }

@@ -36,6 +36,7 @@ pub use chaos::{ChaosConfig, ChaosDirection, ChaosState, ChaosStream, FrameActio
 pub use conn::WorkerConn;
 pub use frame::{FrameReader, FrameWriter};
 pub use policy::NetPolicy;
+pub use proto::IterCounts;
 pub use transport::{ChannelLink, ChannelMesh, Closed, Transport};
 
 use imr_mapreduce::EngineError;

@@ -32,12 +32,15 @@ pub enum ToCoord {
     /// This pair's local distance contribution for termination voting.
     Distance { d: f64, has_prev: bool },
     /// Heartbeat after completing `iteration` (feeds the watchdog and
-    /// the coordinator-side per-iteration records used for reporting).
+    /// the coordinator-side per-iteration records used for reporting),
+    /// carrying the iteration's data-path counters for the
+    /// coordinator's metrics registry.
     Beat {
         iteration: usize,
         busy_secs: f64,
         d: f64,
         has_prev: bool,
+        counts: IterCounts,
     },
     /// Checkpoint body for `iteration`; the coordinator persists it.
     /// `hist` is this pair's generation-local distance history through
@@ -65,14 +68,6 @@ pub enum ToCoord {
     /// shuffle segments (a run uses either shuffle or delta frames,
     /// never both).
     Delta { dest: usize, payload: Bytes },
-    /// Per-check accumulative-mode counter report, folded into the
-    /// coordinator's real metrics registry (`deltas_sent`,
-    /// `priority_preemptions`, `termination_checks`).
-    DeltaStats {
-        deltas: u64,
-        preemptions: u64,
-        checks: u64,
-    },
     /// Incremental-mode patch receipt: the worker decoded its epoch-0
     /// warm-start part and echoes what it saw (`keys` restored, raw
     /// `bytes` length and FNV-64 `digest`) so the coordinator can
@@ -85,6 +80,53 @@ pub enum ToCoord {
     /// like [`ToCoord::Trace`] batches. Best-effort: dropped when
     /// telemetry is off or the payload is malformed.
     Telemetry { payload: Bytes },
+}
+
+/// One iteration's data-path counters, reported by the worker on its
+/// heartbeat and folded into the coordinator's metrics registry (the
+/// worker process has no registry of its own).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IterCounts {
+    pub map_input_records: u64,
+    pub reduce_input_records: u64,
+    pub state_handoff_bytes: u64,
+    pub deltas_sent: u64,
+    pub priority_preemptions: u64,
+    pub termination_checks: u64,
+}
+
+impl IterCounts {
+    fn fields(&self) -> [u64; 6] {
+        [
+            self.map_input_records,
+            self.reduce_input_records,
+            self.state_handoff_bytes,
+            self.deltas_sent,
+            self.priority_preemptions,
+            self.termination_checks,
+        ]
+    }
+}
+
+impl Codec for IterCounts {
+    fn encode(&self, buf: &mut BytesMut) {
+        for v in self.fields() {
+            v.encode(buf);
+        }
+    }
+    fn decode(buf: &mut Bytes) -> CodecResult<Self> {
+        Ok(IterCounts {
+            map_input_records: u64::decode(buf)?,
+            reduce_input_records: u64::decode(buf)?,
+            state_handoff_bytes: u64::decode(buf)?,
+            deltas_sent: u64::decode(buf)?,
+            priority_preemptions: u64::decode(buf)?,
+            termination_checks: u64::decode(buf)?,
+        })
+    }
+    fn encoded_len(&self) -> usize {
+        self.fields().iter().map(Codec::encoded_len).sum()
+    }
 }
 
 /// Messages sent from the coordinator to a worker process.
@@ -349,12 +391,14 @@ impl Codec for ToCoord {
                 busy_secs,
                 d,
                 has_prev,
+                counts,
             } => {
                 6u8.encode(buf);
                 iteration.encode(buf);
                 busy_secs.encode(buf);
                 d.encode(buf);
                 has_prev.encode(buf);
+                counts.encode(buf);
             }
             ToCoord::Ckpt {
                 iteration,
@@ -384,28 +428,18 @@ impl Codec for ToCoord {
                 dest.encode(buf);
                 payload.encode(buf);
             }
-            ToCoord::DeltaStats {
-                deltas,
-                preemptions,
-                checks,
-            } => {
-                12u8.encode(buf);
-                deltas.encode(buf);
-                preemptions.encode(buf);
-                checks.encode(buf);
-            }
             ToCoord::PatchStats {
                 keys,
                 bytes,
                 digest,
             } => {
-                13u8.encode(buf);
+                12u8.encode(buf);
                 keys.encode(buf);
                 bytes.encode(buf);
                 digest.encode(buf);
             }
             ToCoord::Telemetry { payload } => {
-                14u8.encode(buf);
+                13u8.encode(buf);
                 payload.encode(buf);
             }
         }
@@ -437,6 +471,7 @@ impl Codec for ToCoord {
                 busy_secs: f64::decode(buf)?,
                 d: f64::decode(buf)?,
                 has_prev: bool::decode(buf)?,
+                counts: IterCounts::decode(buf)?,
             },
             7 => ToCoord::Ckpt {
                 iteration: usize::decode(buf)?,
@@ -455,17 +490,12 @@ impl Codec for ToCoord {
                 dest: usize::decode(buf)?,
                 payload: Bytes::decode(buf)?,
             },
-            12 => ToCoord::DeltaStats {
-                deltas: u64::decode(buf)?,
-                preemptions: u64::decode(buf)?,
-                checks: u64::decode(buf)?,
-            },
-            13 => ToCoord::PatchStats {
+            12 => ToCoord::PatchStats {
                 keys: u64::decode(buf)?,
                 bytes: u64::decode(buf)?,
                 digest: u64::decode(buf)?,
             },
-            14 => ToCoord::Telemetry {
+            13 => ToCoord::Telemetry {
                 payload: Bytes::decode(buf)?,
             },
             _ => return Err(CodecError::Corrupt("unknown ToCoord tag")),
@@ -488,11 +518,13 @@ impl Codec for ToCoord {
                 busy_secs,
                 d,
                 has_prev,
+                counts,
             } => {
                 iteration.encoded_len()
                     + busy_secs.encoded_len()
                     + d.encoded_len()
                     + has_prev.encoded_len()
+                    + counts.encoded_len()
             }
             ToCoord::Ckpt {
                 iteration,
@@ -503,11 +535,6 @@ impl Codec for ToCoord {
             ToCoord::Outcome(outcome) => outcome.encoded_len(),
             ToCoord::Trace { payload } => payload.encoded_len(),
             ToCoord::Delta { dest, payload } => dest.encoded_len() + payload.encoded_len(),
-            ToCoord::DeltaStats {
-                deltas,
-                preemptions,
-                checks,
-            } => deltas.encoded_len() + preemptions.encoded_len() + checks.encoded_len(),
             ToCoord::PatchStats {
                 keys,
                 bytes,
@@ -687,6 +714,14 @@ mod tests {
             busy_secs: 0.003,
             d: f64::INFINITY,
             has_prev: false,
+            counts: IterCounts {
+                map_input_records: 300,
+                reduce_input_records: 900,
+                state_handoff_bytes: 4096,
+                deltas_sent: 120,
+                priority_preemptions: 7,
+                termination_checks: 1,
+            },
         });
         round_trip(ToCoord::Ckpt {
             iteration: 10,
@@ -709,11 +744,6 @@ mod tests {
         round_trip(ToCoord::Delta {
             dest: 2,
             payload: Bytes::from(vec![4; 24]),
-        });
-        round_trip(ToCoord::DeltaStats {
-            deltas: 120,
-            preemptions: 7,
-            checks: 1,
         });
         round_trip(ToCoord::PatchStats {
             keys: 512,

@@ -160,7 +160,7 @@ impl ClusterSpec {
 
     /// Deterministic placement of `n` persistent pairs onto nodes:
     /// round-robin over the nodes, skipping nodes whose slots are full.
-    /// Both engines use this map, so a `FailureEvent` naming a node
+    /// Both engines use this map, so a `FaultEvent` naming a node
     /// kills the same pairs everywhere.
     pub fn assign_pairs(&self, n: usize) -> Vec<NodeId> {
         assert!(

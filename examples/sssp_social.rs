@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example sssp_social`
 
-use imapreduce::{FailureEvent, IterConfig};
+use imapreduce::{FaultEvent, IterConfig};
 use imr_algorithms::sssp::{self, SsspIter};
 use imr_algorithms::testutil::imr_runner_on;
 use imr_graph::dataset;
@@ -40,7 +40,7 @@ fn main() {
     // Same computation, but node 2 dies after iteration 5.
     let runner2 = imr_runner_on(ClusterSpec::local(4));
     sssp::load_sssp_imr(&runner2, &graph, 0, 4, "/s/state", "/s/static").expect("load");
-    let failures = [FailureEvent {
+    let failures = [FaultEvent::Kill {
         node: NodeId(2),
         at_iteration: 5,
     }];

@@ -2,7 +2,7 @@
 //! the same generated data and must agree with each other and with the
 //! sequential references.
 
-use imapreduce::{FailureEvent, IterConfig, IterEngine, IterOutcome, LoadBalance, WatchdogConfig};
+use imapreduce::{FaultEvent, IterConfig, IterEngine, IterOutcome, LoadBalance, WatchdogConfig};
 use imr_algorithms::concomp::ConCompIter;
 use imr_algorithms::kmeans::{KmState, KmeansIter};
 use imr_algorithms::pagerank::PageRankIter;
@@ -201,7 +201,7 @@ fn sssp_run(
     runner: &impl IterEngine,
     g: &Graph,
     cfg: &IterConfig,
-    failures: &[FailureEvent],
+    failures: &[FaultEvent],
 ) -> IterOutcome<u32, f64> {
     sssp::load_sssp_imr(runner, g, 0, cfg.num_tasks, "/s", "/t").unwrap();
     runner
@@ -213,7 +213,7 @@ fn pagerank_run(
     runner: &impl IterEngine,
     g: &Graph,
     cfg: &IterConfig,
-    failures: &[FailureEvent],
+    failures: &[FaultEvent],
 ) -> IterOutcome<u32, f64> {
     pagerank::load_pagerank_imr(runner, g, cfg.num_tasks, "/s", "/t").unwrap();
     let job = PageRankIter::new(g.num_nodes() as u64);
@@ -224,7 +224,7 @@ fn kmeans_run(
     runner: &impl IterEngine,
     points: &[(u32, Vec<f64>)],
     cfg: &IterConfig,
-    failures: &[FailureEvent],
+    failures: &[FaultEvent],
 ) -> IterOutcome<u32, KmState> {
     kmeans::load_kmeans_imr(runner, points, 3, cfg.num_tasks, "/s", "/t").unwrap();
     let job = KmeansIter { combiner: false };
@@ -238,7 +238,7 @@ fn kmeans_run(
 #[test]
 fn sssp_failure_runs_match_clean_runs_on_both_engines() {
     let g = dataset("DBLP").unwrap().generate(0.005);
-    let failures = [FailureEvent {
+    let failures = [FaultEvent::Kill {
         node: NodeId(0),
         at_iteration: 3,
     }];
@@ -276,7 +276,7 @@ fn sssp_failure_runs_match_clean_runs_on_both_engines() {
 #[test]
 fn pagerank_failure_runs_match_clean_runs_on_both_engines() {
     let g = dataset("Google").unwrap().generate(0.002);
-    let failures = [FailureEvent {
+    let failures = [FaultEvent::Kill {
         node: NodeId(0),
         at_iteration: 3,
     }];
@@ -313,7 +313,7 @@ fn pagerank_failure_runs_match_clean_runs_on_both_engines() {
 #[test]
 fn kmeans_failure_runs_match_clean_runs_on_both_engines() {
     let points = generate_points(400, 5, 3, 77);
-    let failures = [FailureEvent {
+    let failures = [FaultEvent::Kill {
         node: NodeId(0),
         at_iteration: 3,
     }];
@@ -575,7 +575,7 @@ fn tcp_termination_matches_channel_and_sim() {
 }
 
 /// The transport flag is validated on both entry points: run_remote
-/// refuses a channel-transport config (and run_faults refuses a TCP
+/// refuses a channel-transport config (and run refuses a TCP
 /// one, covered in the native crate's tests).
 #[test]
 fn run_remote_rejects_channel_transport_config() {
@@ -610,6 +610,71 @@ fn assert_same_outcome<S: PartialEq + std::fmt::Debug>(
     assert_eq!(a.final_state, b.final_state, "{label}: states diverge");
     assert_eq!(a.iterations, b.iterations, "{label}: check counts diverge");
     assert_eq!(a.distances, b.distances, "{label}: progress traces diverge");
+}
+
+/// The data-path counters a worker process tallies — input records,
+/// state hand-off bytes, delta sends and termination checks — reach the
+/// job's metrics registry on every engine: the simulator, the channel
+/// fabric and TCP worker processes report equal values on a clean
+/// one2one SSSP run and on a delta PageRank run.
+#[test]
+fn data_path_counters_agree_on_all_engines() {
+    fn counters(out: &IterOutcome<u32, f64>) -> [u64; 5] {
+        let m = &out.report.metrics;
+        [
+            m.map_input_records,
+            m.reduce_input_records,
+            m.state_handoff_bytes,
+            m.deltas_sent,
+            m.termination_checks,
+        ]
+    }
+    let tasks = 3;
+
+    let g = dataset("DBLP").unwrap().generate(0.004);
+    let cfg = IterConfig::new("sssp", tasks, 5);
+    let sim = sssp::run_sssp_imr(&imr_runner(4), &g, 0, &cfg).unwrap();
+    let nat = sssp::run_sssp_imr(&native_runner(4), &g, 0, &cfg).unwrap();
+    let tcp_rt = native_runner(4);
+    sssp::load_sssp_imr(&tcp_rt, &g, 0, tasks, "/s", "/t").unwrap();
+    let tcp = tcp_rt
+        .run_remote(
+            &SsspIter,
+            &worker_spec(&["sssp"]),
+            &cfg.clone().with_tcp_transport(),
+            "/s",
+            "/t",
+            "/o",
+            &[],
+        )
+        .unwrap();
+    assert!(counters(&sim)[..3].iter().all(|&c| c > 0), "sssp counts");
+    assert_eq!(counters(&sim), counters(&nat), "sssp: sim vs threads");
+    assert_eq!(counters(&sim), counters(&tcp), "sssp: sim vs tcp");
+
+    let g = dataset("Google").unwrap().generate(0.003);
+    let nodes = g.num_nodes().to_string();
+    let cfg = IterConfig::new("prd", tasks, 400)
+        .with_accumulative_mode()
+        .with_distance_threshold(1e-8);
+    let sim = pagerank::run_pagerank_delta(&imr_runner(4), &g, &cfg).unwrap();
+    let nat = pagerank::run_pagerank_delta(&native_runner(4), &g, &cfg).unwrap();
+    let tcp_rt = native_runner(4);
+    pagerank::load_pagerank_imr(&tcp_rt, &g, tasks, "/s", "/t").unwrap();
+    let tcp = tcp_rt
+        .run_remote(
+            &PageRankIter::new(g.num_nodes() as u64),
+            &worker_spec(&["pagerank", &nodes]),
+            &cfg.clone().with_tcp_transport(),
+            "/s",
+            "/t",
+            "/o",
+            &[],
+        )
+        .unwrap();
+    assert!(counters(&sim)[3..].iter().all(|&c| c > 0), "delta counts");
+    assert_eq!(counters(&sim), counters(&nat), "delta: sim vs threads");
+    assert_eq!(counters(&sim), counters(&tcp), "delta: sim vs tcp");
 }
 
 /// Barrier-free delta-accumulative PageRank (Maiter-style §3.3 taken to

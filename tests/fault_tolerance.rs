@@ -1,9 +1,9 @@
 //! Fault-tolerance integration: scripted node failures on real
 //! workloads must recover from checkpoints to bit-identical results —
 //! on the simulation engine *and* on the native threaded backend, which
-//! injects the same `FailureEvent` scripts into real worker threads.
+//! injects the same `FaultEvent` scripts into real worker threads.
 
-use imapreduce::{FailureEvent, FaultEvent, IterConfig, LoadBalance, WatchdogConfig};
+use imapreduce::{FaultEvent, IterConfig, LoadBalance, WatchdogConfig};
 use imr_algorithms::sssp::{self, SsspIter};
 use imr_algorithms::testutil::{imr_runner_on, native_runner};
 use imr_graph::dataset;
@@ -12,7 +12,7 @@ use imr_native::{NativeRunner, WorkerSpec};
 use imr_simcluster::{ClusterSpec, NodeId};
 use std::time::Duration;
 
-fn run_with_failures(failures: &[FailureEvent], ckpt: usize) -> imapreduce::IterOutcome<u32, f64> {
+fn run_with_failures(failures: &[FaultEvent], ckpt: usize) -> imapreduce::IterOutcome<u32, f64> {
     let g = dataset("DBLP").unwrap().generate(0.003);
     let runner = imr_runner_on(ClusterSpec::local(4));
     sssp::load_sssp_imr(&runner, &g, 0, 4, "/s", "/t").unwrap();
@@ -26,7 +26,7 @@ fn run_with_failures(failures: &[FailureEvent], ckpt: usize) -> imapreduce::Iter
 /// runner per run, real worker threads, scripted failures injected at
 /// exact (pair, iteration) points.
 fn run_native_with_failures(
-    failures: &[FailureEvent],
+    failures: &[FaultEvent],
     ckpt: usize,
 ) -> imapreduce::IterOutcome<u32, f64> {
     let g = dataset("DBLP").unwrap().generate(0.003);
@@ -42,7 +42,7 @@ fn run_native_with_failures(
 fn single_failure_recovers_exactly() {
     let clean = run_with_failures(&[], 2);
     let failed = run_with_failures(
-        &[FailureEvent {
+        &[FaultEvent::Kill {
             node: NodeId(1),
             at_iteration: 4,
         }],
@@ -58,11 +58,11 @@ fn multiple_failures_recover_exactly() {
     let clean = run_with_failures(&[], 2);
     let failed = run_with_failures(
         &[
-            FailureEvent {
+            FaultEvent::Kill {
                 node: NodeId(1),
                 at_iteration: 3,
             },
-            FailureEvent {
+            FaultEvent::Kill {
                 node: NodeId(3),
                 at_iteration: 6,
             },
@@ -78,7 +78,7 @@ fn failure_immediately_after_checkpoint_rolls_back_minimally() {
     let clean = run_with_failures(&[], 4);
     // Checkpoint at iteration 4, failure right after.
     let failed = run_with_failures(
-        &[FailureEvent {
+        &[FaultEvent::Kill {
             node: NodeId(2),
             at_iteration: 4,
         }],
@@ -101,7 +101,7 @@ fn load_balancing_and_failures_compose() {
             deviation: 0.3,
             max_migrations: 2,
         });
-    let failures = [FailureEvent {
+    let failures = [FaultEvent::Kill {
         node: NodeId(3),
         at_iteration: 6,
     }];
@@ -122,7 +122,7 @@ fn load_balancing_and_failures_compose() {
 fn native_single_failure_recovers_exactly() {
     let clean = run_native_with_failures(&[], 2);
     let failed = run_native_with_failures(
-        &[FailureEvent {
+        &[FaultEvent::Kill {
             node: NodeId(1),
             at_iteration: 4,
         }],
@@ -138,11 +138,11 @@ fn native_multiple_failures_recover_exactly() {
     let clean = run_native_with_failures(&[], 2);
     let failed = run_native_with_failures(
         &[
-            FailureEvent {
+            FaultEvent::Kill {
                 node: NodeId(1),
                 at_iteration: 3,
             },
-            FailureEvent {
+            FaultEvent::Kill {
                 node: NodeId(3),
                 at_iteration: 6,
             },
@@ -159,7 +159,7 @@ fn native_failure_on_checkpoint_iteration_recovers() {
     // fires, so the rollback replays from 4, not 0.
     let clean = run_native_with_failures(&[], 4);
     let failed = run_native_with_failures(
-        &[FailureEvent {
+        &[FaultEvent::Kill {
             node: NodeId(2),
             at_iteration: 4,
         }],
@@ -173,11 +173,11 @@ fn native_failure_on_checkpoint_iteration_recovers() {
 #[test]
 fn both_engines_agree_under_failures() {
     let failures = [
-        FailureEvent {
+        FaultEvent::Kill {
             node: NodeId(0),
             at_iteration: 2,
         },
-        FailureEvent {
+        FaultEvent::Kill {
             node: NodeId(2),
             at_iteration: 5,
         },
@@ -198,7 +198,7 @@ fn native_failure_without_checkpointing_is_a_clear_error() {
     let runner = native_runner(4);
     sssp::load_sssp_imr(&runner, &g, 0, 4, "/s", "/t").unwrap();
     let cfg = IterConfig::new("sssp", 4, 8).with_checkpoint_interval(0);
-    let failures = [FailureEvent {
+    let failures = [FaultEvent::Kill {
         node: NodeId(1),
         at_iteration: 4,
     }];
@@ -234,7 +234,7 @@ fn native_hang_recovers_via_watchdog_bit_identically() {
     let hung_rt = native_runner(4);
     sssp::load_sssp_imr(&hung_rt, &g, 0, 4, "/s", "/t").unwrap();
     let hung = hung_rt
-        .run_faults(
+        .run(
             &SsspIter,
             &cfg,
             "/s",
@@ -275,7 +275,7 @@ fn sim_hang_recovery_counts_a_stall_and_costs_the_timeout() {
     let hung_rt = imr_runner_on(ClusterSpec::local(4));
     sssp::load_sssp_imr(&hung_rt, &g, 0, 4, "/s", "/t").unwrap();
     let hung = hung_rt
-        .run_faults(&SsspIter, &cfg, "/s", "/t", "/o", &hang)
+        .run(&SsspIter, &cfg, "/s", "/t", "/o", &hang)
         .unwrap();
     assert_eq!(hung.recoveries, 1);
     assert_eq!(hung_rt.metrics().stalls_detected.get(), 1);
@@ -292,7 +292,7 @@ fn sim_hang_recovery_counts_a_stall_and_costs_the_timeout() {
     let killed_rt = imr_runner_on(ClusterSpec::local(4));
     sssp::load_sssp_imr(&killed_rt, &g, 0, 4, "/s", "/t").unwrap();
     let killed = killed_rt
-        .run_faults(&SsspIter, &cfg, "/s", "/t", "/o", &kill)
+        .run(&SsspIter, &cfg, "/s", "/t", "/o", &kill)
         .unwrap();
     assert_eq!(killed.final_state, hung.final_state);
     assert!(hung.report.finished > killed.report.finished);
@@ -329,7 +329,7 @@ fn delays_do_not_trip_the_watchdog_on_either_engine() {
     let sim_rt = imr_runner_on(ClusterSpec::local(4));
     sssp::load_sssp_imr(&sim_rt, &g, 0, 4, "/s", "/t").unwrap();
     let sim = sim_rt
-        .run_faults(&SsspIter, &cfg, "/s", "/t", "/o", &delays)
+        .run(&SsspIter, &cfg, "/s", "/t", "/o", &delays)
         .unwrap();
     assert_eq!(sim.recoveries, 0);
     assert_eq!(sim_rt.metrics().stalls_detected.get(), 0);
@@ -339,7 +339,7 @@ fn delays_do_not_trip_the_watchdog_on_either_engine() {
     let nat_rt = native_runner(4);
     sssp::load_sssp_imr(&nat_rt, &g, 0, 4, "/s", "/t").unwrap();
     let nat = nat_rt
-        .run_faults(&SsspIter, &cfg, "/s", "/t", "/o", &delays)
+        .run(&SsspIter, &cfg, "/s", "/t", "/o", &delays)
         .unwrap();
     assert_eq!(nat.recoveries, 0);
     assert_eq!(nat_rt.metrics().stalls_detected.get(), 0);
@@ -394,7 +394,7 @@ fn tcp_kill_recovers_bit_identically_to_clean_and_channel() {
     let clean = run_tcp(&tcp_fixture(), &sssp_worker(), &cfg, &[]);
     let killed = run_tcp(&tcp_fixture(), &sssp_worker(), &cfg, &kill);
     let channel = run_native_with_failures(
-        &[FailureEvent {
+        &[FaultEvent::Kill {
             node: NodeId(1),
             at_iteration: 4,
         }],

@@ -9,7 +9,8 @@ use imr_net::{FrameReader, FrameWriter};
 use imr_records::Codec;
 use std::net::TcpListener;
 use std::process::Command;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -72,6 +73,54 @@ fn stress_twenty_jobs_over_four_slots() {
         let rec = svc.result(id).unwrap().expect("journaled result");
         assert!(rec.iterations > 0);
         assert!(!rec.state.is_empty());
+    }
+    assert!(svc.dlq().unwrap().is_empty());
+}
+
+/// Submitting while another thread drives the scheduler neither hangs
+/// the scheduler nor tears a journal write: fifty small jobs submitted
+/// concurrently with a `run_until_idle` loop all end `Completed`.
+#[test]
+fn concurrent_submit_and_scheduler_complete_every_job() {
+    let svc = Arc::new(JobService::new(ServiceConfig::default().with_slots(2)));
+    let submitted = Arc::new(AtomicBool::new(false));
+    let (done_tx, done_rx) = mpsc::channel();
+    let driver = {
+        let (svc, submitted) = (Arc::clone(&svc), Arc::clone(&submitted));
+        thread::spawn(move || {
+            let result = loop {
+                // Read the flag first: a pass that starts after the last
+                // submit drains every job.
+                let last = submitted.load(Ordering::Acquire);
+                if let Err(e) = svc.run_until_idle() {
+                    break Err(e);
+                }
+                if last {
+                    break Ok(());
+                }
+            };
+            let _ = done_tx.send(result);
+        })
+    };
+    for i in 0..50u64 {
+        let spec = JobSpec::new(format!("race-{i}"), AlgoSpec::Halve, EngineSel::Sim, i)
+            .with_scale(8)
+            .with_max_iters(2);
+        svc.submit(spec).unwrap();
+        // Stagger the submits so many land while the scheduler is
+        // between passes with nothing running.
+        thread::sleep(Duration::from_micros(200));
+    }
+    submitted.store(true, Ordering::Release);
+    done_rx
+        .recv_timeout(Duration::from_secs(120))
+        .expect("scheduler hung with jobs still queued")
+        .expect("scheduler failed");
+    driver.join().unwrap();
+    let status = svc.status();
+    assert_eq!(status.len(), 50);
+    for row in &status {
+        assert_eq!(row.phase, JobPhase::Completed, "job {}", row.id);
     }
     assert!(svc.dlq().unwrap().is_empty());
 }

@@ -1,7 +1,7 @@
 //! Workspace-level property tests: cross-crate invariants on random
 //! inputs.
 
-use imapreduce::{FailureEvent, FaultEvent, IterConfig, WatchdogConfig};
+use imapreduce::{FaultEvent, IterConfig, WatchdogConfig};
 use imr_algorithms::sssp::SsspIter;
 use imr_algorithms::testutil::{imr_runner, native_runner};
 use imr_algorithms::{pagerank, sssp};
@@ -108,17 +108,17 @@ proptest! {
     ) {
         let g = generate_weighted_graph(n, n as u64 * 3, sssp_degree_dist(), sssp_weight_dist(), seed);
         let iters = 8;
-        let mut failures: Vec<FailureEvent> = schedule
+        let mut failures: Vec<FaultEvent> = schedule
             .iter()
-            .map(|&(node, at)| FailureEvent { node: NodeId(node), at_iteration: at })
+            .map(|&(node, at)| FaultEvent::Kill { node: NodeId(node), at_iteration: at })
             .collect();
         // Always cover the two nastiest cases: a failure on the very
         // iteration that checkpoints, and the same failure again back
         // to back. (Events the replay never reaches again — e.g. a
         // duplicate behind an already-committed checkpoint — stay
         // pending and are simply never consumed.)
-        failures.push(FailureEvent { node: NodeId(0), at_iteration: interval });
-        failures.push(FailureEvent { node: NodeId(0), at_iteration: interval });
+        failures.push(FaultEvent::Kill { node: NodeId(0), at_iteration: interval });
+        failures.push(FaultEvent::Kill { node: NodeId(0), at_iteration: interval });
 
         let cfg = IterConfig::new("sssp", 4, iters).with_checkpoint_interval(interval);
         let failed = {
@@ -178,7 +178,7 @@ proptest! {
         let failed = {
             let r = native_runner(4);
             sssp::load_sssp_imr(&r, &g, 0, 4, "/s", "/t").unwrap();
-            r.run_faults(&SsspIter, &cfg, "/s", "/t", "/o", &faults).unwrap()
+            r.run(&SsspIter, &cfg, "/s", "/t", "/o", &faults).unwrap()
         };
         let clean = {
             let r = native_runner(4);
@@ -454,7 +454,7 @@ fn delta_validation_rejects_unsupported_combos_on_every_engine() {
         "use run_accumulative",
     );
     expect_config(
-        nat.run_faults(&SsspIter, &acc, "/s", "/t", "/o", &[]),
+        nat.run(&SsspIter, &acc, "/s", "/t", "/o", &[]),
         "use run_accumulative",
     );
     expect_config(

@@ -165,16 +165,14 @@ fn kill_rollback_leaves_exactly_one_generation_gap() {
             let tel = handle();
             let r = imr_runner(4).with_telemetry(Arc::clone(&tel));
             sssp::load_sssp_imr(&r, &g, 0, 4, "/s", "/t").unwrap();
-            r.run_faults(&SsspIter, &cfg, "/s", "/t", "/o", &failures)
-                .unwrap();
+            r.run(&SsspIter, &cfg, "/s", "/t", "/o", &failures).unwrap();
             tel
         }),
         ("native", {
             let tel = handle();
             let r = native_runner(4).with_telemetry(Arc::clone(&tel));
             sssp::load_sssp_imr(&r, &g, 0, 4, "/s", "/t").unwrap();
-            r.run_faults(&SsspIter, &cfg, "/s", "/t", "/o", &failures)
-                .unwrap();
+            r.run(&SsspIter, &cfg, "/s", "/t", "/o", &failures).unwrap();
             tel
         }),
     ];

@@ -4,7 +4,7 @@
 //! flight-recorder artifact in the DFS, and the trace-derived
 //! async-overlap score validates the §3.3 pipeline claim.
 
-use imapreduce::{FailureEvent, IterConfig, IterEngine};
+use imapreduce::{FaultEvent, IterConfig, IterEngine};
 use imr_algorithms::pagerank;
 use imr_algorithms::sssp::{self, SsspIter};
 use imr_algorithms::testutil::{imr_runner, imr_runner_on, native_runner};
@@ -92,7 +92,7 @@ fn canonical_trace_is_identical_across_all_three_engines() {
 fn scripted_kill_records_one_rollback_and_flight_artifact() {
     let g = dataset("DBLP").unwrap().generate(0.005);
     let cfg = IterConfig::new("sssp", 4, 6).with_checkpoint_interval(2);
-    let failures = [FailureEvent {
+    let failures = [FaultEvent::Kill {
         node: NodeId(0),
         at_iteration: 3,
     }];
@@ -143,7 +143,7 @@ fn sssp_run_faulted(
     runner: &impl IterEngine,
     g: &imr_graph::Graph,
     cfg: &IterConfig,
-    failures: &[FailureEvent],
+    failures: &[FaultEvent],
 ) -> (u64, String) {
     sssp::load_sssp_imr(runner, g, 0, cfg.num_tasks, "/s", "/t").unwrap();
     let out = runner

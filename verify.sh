@@ -37,13 +37,27 @@ cmd_build() {
   cargo build --release --workspace
 }
 
+# Every suite runs in exactly one CI job: the packages, test targets and
+# test-name filters a serial job below owns (faults, trace, service,
+# delta, chaos, incremental, telemetry) are left to that job, and this
+# job runs the rest of the workspace.
 cmd_test() {
-  cargo test -q --workspace
+  cargo test -q --workspace \
+    --exclude imapreduce-suite --exclude imapreduce --exclude imr-algorithms \
+    --exclude imr-bench --exclude imr-native --exclude imr-trace \
+    --exclude imr-jobs --exclude imr-net --exclude imr-telemetry
+  cargo test -q -p imapreduce -- --skip accum --skip incremental
+  cargo test -q -p imr-algorithms -- --skip accumulative --skip incremental
+  cargo test -q -p imr-bench --lib --bins
+  cargo test -q -p imapreduce-suite --lib --bins --examples \
+    --test cross_engine --test determinism --test properties \
+    -- --skip delta_ --skip incremental_
   # The cross-engine exactness suite again under -O: the TCP
   # multi-process transport and the channel fabric must stay
   # bit-identical to the simulation engine with optimized codegen and
-  # release-build worker binaries too.
-  cargo test -q --release --test cross_engine
+  # release-build worker binaries too. (Its delta_ tests run under -O
+  # in the delta job.)
+  cargo test -q --release --test cross_engine -- --skip delta_
 }
 
 cmd_faults() {
@@ -51,8 +65,9 @@ cmd_faults() {
   # OS processes, then recover from injected kills/hangs/crashes; run
   # them serially under a timeout so a recovery regression shows up as
   # a clean failure, never a hung CI job. The native crate's own suite
-  # covers the watchdog/migration monitor the same way.
-  timeout 600 cargo test -q --test fault_tolerance -- --test-threads=1
+  # covers the watchdog/migration monitor the same way. The delta_
+  # fault scenarios run in the delta job.
+  timeout 600 cargo test -q --test fault_tolerance -- --test-threads=1 --skip delta_
   timeout 600 cargo test -q -p imr-native -- --test-threads=1
 }
 
@@ -229,11 +244,11 @@ cmd_service() {
 # Serial under timeouts: the fault suites spawn real worker threads and
 # processes, so a regression must fail cleanly, never hang CI.
 cmd_delta() {
-  timeout 600 cargo test -q -p imapreduce accum -- --test-threads=1
+  timeout 600 cargo test -q -p imapreduce accum -- --test-threads=1 --skip incremental
   timeout 600 cargo test -q -p imr-algorithms accumulative -- --test-threads=1
   timeout 600 cargo test -q -p imr-bench --test metrics_reset -- --test-threads=1
   timeout 900 cargo test -q --release --test cross_engine delta_ -- --test-threads=1
-  timeout 600 cargo test -q --test properties delta_ -- --test-threads=1
+  timeout 600 cargo test -q --test properties delta_ -- --test-threads=1 --skip incremental_
   timeout 900 cargo test -q --test fault_tolerance delta_ -- --test-threads=1
   echo "delta: accumulative-mode suites passed"
 }
