@@ -122,8 +122,7 @@ pub fn load_incremental<J: Incremental>(
 
 /// Cold accumulative convergence on an adjacency map: load under
 /// `{ns}/state` / `{ns}/static`, run to the fixpoint, output under
-/// `{ns}/out`. `cfg` must carry `with_accumulative_mode()` (and **not**
-/// `with_incremental_mode()` — cold inputs are plain per-key values).
+/// `{ns}/out`. `cfg` must carry `with_accumulative_mode()`.
 pub fn converge_cold<J: Incremental>(
     runner: &impl IterEngine,
     job: &J,
@@ -155,8 +154,8 @@ pub fn converge_and_preserve<J: Incremental>(
 }
 
 /// Re-converge from the namespace's preserved fixpoint after `delta`
-/// mutates the graph. `cfg` is the same base accumulative config used
-/// for the cold converge; the incremental flag is added here.
+/// mutates the graph. `cfg` is the same accumulative config used for
+/// the cold converge.
 pub fn run_incremental_ns<J: Incremental>(
     runner: &impl IterEngine,
     job: &J,
@@ -166,10 +165,9 @@ pub fn run_incremental_ns<J: Incremental>(
     delta: &GraphDelta,
 ) -> Result<IncrementalOutcome<J::S>, EngineError> {
     let d = inc_dirs(ns);
-    let inc_cfg = cfg.clone().with_incremental_mode();
     runner.run_incremental(
         job,
-        &inc_cfg,
+        cfg,
         fix,
         &d.static_,
         delta,

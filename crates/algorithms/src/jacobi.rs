@@ -86,8 +86,8 @@ pub fn run_jacobi_imr(
     cfg: &IterConfig,
 ) -> Result<IterOutcome<u32, f64>, EngineError> {
     assert_eq!(
-        cfg.mapping,
-        imapreduce::Mapping::One2All,
+        cfg.mode,
+        imapreduce::ExecMode::One2All,
         "Jacobi needs one2all"
     );
     let mut clock = TaskClock::default();

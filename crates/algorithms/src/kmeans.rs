@@ -145,8 +145,8 @@ pub fn run_kmeans_imr(
     combiner: bool,
 ) -> Result<IterOutcome<u32, KmState>, EngineError> {
     assert_eq!(
-        cfg.mapping,
-        imapreduce::Mapping::One2All,
+        cfg.mode,
+        imapreduce::ExecMode::One2All,
         "K-means needs one2all"
     );
     load_kmeans_imr(runner, points, k, cfg.num_tasks, "/km/state", "/km/static")?;

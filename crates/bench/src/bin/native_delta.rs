@@ -13,7 +13,7 @@
 //! reporting, and that the delta fixpoint agrees with the synchronous
 //! one to well under the threshold.
 
-use imapreduce::IterConfig;
+use imapreduce::{ExecMode, IterConfig};
 use imr_bench::{report_metrics, BenchOpts, FigureResult};
 use imr_dfs::Dfs;
 use imr_graph::dataset;
@@ -75,7 +75,8 @@ fn main() {
         for (i, (label, cfg)) in modes.iter().enumerate() {
             let rt = runner();
             let t0 = Instant::now();
-            let out = if cfg.accumulative {
+            let accumulative = matches!(cfg.mode, ExecMode::Delta { .. });
+            let out = if accumulative {
                 imr_algorithms::pagerank::run_pagerank_delta(&rt, &g, cfg).expect("delta run")
             } else {
                 imr_algorithms::pagerank::run_pagerank_imr(&rt, &g, cfg).expect("map/reduce run")
@@ -89,7 +90,7 @@ fn main() {
             secs[i].push((tasks as f64, t));
             rounds[i].push((tasks as f64, out.iterations as f64));
             row.push((out.iterations, t, out.final_state));
-            if cfg.accumulative {
+            if accumulative {
                 last_metrics = Some(rt.metrics().snapshot());
             }
         }

@@ -14,23 +14,11 @@
 pub use imr_mapreduce::Emitter;
 use imr_records::{HashPartitioner, Key, Partitioner, Value};
 
-/// How reduce output maps back onto map input (paper §5.1): the default
-/// one-to-one correspondence of graph algorithms, or the one-to-all
-/// broadcast "K-means-like" algorithms need.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mapping {
-    /// Each reduce task feeds exactly its paired map task
-    /// (`mapred.iterjob.mapping = one2one`).
-    One2One,
-    /// Every reduce task broadcasts its output to all map tasks
-    /// (`mapred.iterjob.mapping = one2all`). Forces synchronous maps.
-    One2All,
-}
-
 /// The state the framework hands to a map invocation.
 ///
-/// Under [`Mapping::One2One`] this is the single state record joined
-/// with the key's static record; under [`Mapping::One2All`] it is the
+/// Under [`ExecMode::One2One`](crate::ExecMode::One2One) this is the
+/// single state record joined with the key's static record; under
+/// [`ExecMode::One2All`](crate::ExecMode::One2All) it is the
 /// full list of broadcast state records (e.g. all cluster centroids),
 /// matching the paper's extension of `StateValue` to a list.
 #[derive(Debug, Clone, Copy)]

@@ -12,8 +12,8 @@
 //! The baseline comparison (Fig. 20) is a Hadoop user running the same
 //! detection as an extra synchronous MapReduce job between iterations.
 
-use crate::api::{IterativeJob, Mapping};
-use crate::config::IterConfig;
+use crate::api::IterativeJob;
+use crate::config::{ExecMode, IterConfig};
 use crate::engine::IterativeRunner;
 use crate::step::{map_step, reduce_step, SimCost};
 use bytes::Bytes;
@@ -72,8 +72,8 @@ where
     A: AuxPhase<J::K, J::S>,
 {
     assert_eq!(
-        cfg.mapping,
-        Mapping::One2All,
+        cfg.mode,
+        ExecMode::One2All,
         "auxiliary phases are supported for one2all (K-means-like) jobs"
     );
     let n = cfg.num_tasks;

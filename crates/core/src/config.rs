@@ -1,10 +1,10 @@
 //! Job configuration: the Rust equivalent of the paper's
 //! `JobConf` parameters (`mapred.iterjob.*`).
 
-use crate::api::Mapping;
 use imr_mapreduce::EngineError;
 use imr_net::{ChaosConfig, NetPolicy};
 use imr_simcluster::NodeId;
+use std::num::NonZeroUsize;
 use std::time::Duration;
 
 /// Termination rule (paper §3.1.2): a fixed iteration cap, optionally
@@ -150,6 +150,88 @@ pub enum TransportKind {
     Tcp,
 }
 
+/// When a one2one map task may start its next iteration (§3.3).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Activation {
+    /// As soon as its own paired reduce handed its output over: no
+    /// global barrier (the paper's default asynchronous maps).
+    Async,
+    /// Like `Async`, but the reduce streams its output to the paired
+    /// map in buffer-sized chunks as it is produced (§3.3's eager
+    /// sending with a buffer), so the map's sorted join starts right
+    /// after the reduce's shuffle barrier instead of after its last
+    /// record. Only the virtual-time cost model sees the difference;
+    /// the native backends run it as `Async`.
+    Eager,
+    /// After *all* reduce tasks of the previous iteration
+    /// (`mapred.iterjob.sync`; the paper's "iMapReduce (sync.)" curve).
+    Sync,
+}
+
+/// How a job executes: the paper's `mapred.iterjob.mapping` and
+/// `mapred.iterjob.sync`, plus the delta-accumulative mode. Each
+/// variant carries only the knobs that apply to it, so no rejected
+/// combination can be written down.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExecMode {
+    /// Each reduce task feeds exactly its paired map task
+    /// (`mapred.iterjob.mapping = one2one`; graph algorithms).
+    One2One(Activation),
+    /// Every reduce task broadcasts its output to all map tasks
+    /// (`mapred.iterjob.mapping = one2all`; K-means-like jobs). Maps
+    /// are always synchronous.
+    One2All,
+    /// Barrier-free delta-accumulative execution (Maiter-style, DESIGN.md
+    /// §11). Needs an [`Accumulative`](crate::Accumulative) job, the
+    /// `run_accumulative` entry point and a `distance_threshold` (the
+    /// accumulated-progress detector); no load balancing or `resume`.
+    Delta {
+        /// Pending keys one task applies per round, picked
+        /// largest-progress-first; `0` applies every pending key, a
+        /// smaller batch defers the rest and counts them as
+        /// `priority_preemptions`.
+        batch: usize,
+        /// Rounds of delta propagation between two global
+        /// accumulated-progress termination checks. The check epoch is
+        /// the mode's unit of supervision: heartbeats, checkpoints and
+        /// `max_iterations` all count checks.
+        check_every: NonZeroUsize,
+    },
+}
+
+impl ExecMode {
+    /// Whether every map task waits for all reduce tasks of the
+    /// previous iteration (one2all, or one2one with `Sync` activation).
+    pub fn is_sync(self) -> bool {
+        matches!(
+            self,
+            ExecMode::One2One(Activation::Sync) | ExecMode::One2All
+        )
+    }
+
+    /// The report label of a run of `engine` in this mode: the paper's
+    /// legend names, e.g. `"iMapReduce (sync.)"` for the synchronous
+    /// one2one variant, `"iMapReduce (delta)"` for delta-accumulative
+    /// runs, the bare engine name otherwise.
+    pub fn label(self, engine: &str) -> String {
+        let suffix = match self {
+            ExecMode::One2One(Activation::Sync) => " (sync.)",
+            ExecMode::Delta { .. } => " (delta)",
+            _ => "",
+        };
+        format!("{engine}{suffix}")
+    }
+
+    /// The delta knobs, or the defaults (every pending key, one round
+    /// per check) outside delta mode.
+    fn delta_knobs(self) -> (usize, NonZeroUsize) {
+        match self {
+            ExecMode::Delta { batch, check_every } => (batch, check_every),
+            _ => (0, NonZeroUsize::MIN),
+        }
+    }
+}
+
 /// Full configuration of one iMapReduce job.
 #[derive(Debug, Clone)]
 pub struct IterConfig {
@@ -161,18 +243,9 @@ pub struct IterConfig {
     pub num_tasks: usize,
     /// Termination rule.
     pub termination: Termination,
-    /// one2one (graph algorithms) or one2all (K-means-like broadcast).
-    pub mapping: Mapping,
-    /// `mapred.iterjob.sync` — force synchronous map execution (map
-    /// tasks wait for *all* reduce tasks of the previous iteration).
-    /// Implied by one2all. The paper's "iMapReduce (sync.)" reference
-    /// curve sets this under one2one.
-    pub sync_maps: bool,
-    /// Stream the reduce output to the paired map task in buffer-sized
-    /// chunks as it is produced (§3.3's eager sending with a buffer),
-    /// letting the map's sorted join start right after the reduce's
-    /// shuffle barrier instead of after its last record. one2one only.
-    pub eager_handoff: bool,
+    /// Execution mode: one2one (with its map activation), one2all or
+    /// delta-accumulative.
+    pub mode: ExecMode,
     /// Dump reduce-side state to DFS every this many iterations
     /// (checkpointing, §3.4.1). 0 disables checkpointing.
     pub checkpoint_interval: usize,
@@ -194,32 +267,6 @@ pub struct IterConfig {
     /// `checkpoint_interval > 0` and is a no-op when no snapshot
     /// exists yet.
     pub resume: bool,
-    /// Barrier-free delta-accumulative execution (Maiter-style): every
-    /// task keeps a per-key `(value, delta)` store, propagates only
-    /// non-identity deltas, and schedules work by largest-pending-delta
-    /// priority. Requires an [`Accumulative`](crate::Accumulative) job
-    /// and the `run_accumulative` entry point; termination is the
-    /// accumulated-progress detector, so a `distance_threshold` is
-    /// mandatory. One2one only; incompatible with `sync_maps`,
-    /// `eager_handoff`, load balancing and `resume`.
-    pub accumulative: bool,
-    /// Accumulative mode: how many pending keys one task applies per
-    /// round, picked largest-progress-first. `0` (the default) applies
-    /// every pending key; a smaller batch defers the rest and counts
-    /// them as `priority_preemptions`.
-    pub delta_batch: usize,
-    /// Accumulative mode: rounds of delta propagation between two
-    /// global accumulated-progress termination checks. The check epoch
-    /// is the mode's unit of supervision — heartbeats, checkpoints and
-    /// `max_iterations` all count checks. Must be at least 1.
-    pub check_every: usize,
-    /// Incremental re-convergence (i2MapReduce-style, DESIGN.md §13):
-    /// the state parts hold a warm `(key, (value, pending))` plan
-    /// produced by [`plan_incremental`](crate::plan_incremental) from a
-    /// preserved fixpoint plus a [`GraphDelta`](crate::GraphDelta), and
-    /// every engine decodes them directly instead of seeding from
-    /// scratch. Requires `accumulative`.
-    pub incremental: bool,
     /// Unified network policy for the TCP backend: connect/handshake
     /// deadlines, teardown grace, the supervisor's no-progress retry
     /// budget and the worker connect loop's jittered exponential
@@ -247,19 +294,13 @@ impl IterConfig {
                 max_iterations,
                 distance_threshold: None,
             },
-            mapping: Mapping::One2One,
-            sync_maps: false,
-            eager_handoff: false,
+            mode: ExecMode::One2One(Activation::Async),
             checkpoint_interval: 5,
             load_balance: None,
             watchdog: None,
             transport: TransportKind::Channel,
             flight_window: 64,
             resume: false,
-            accumulative: false,
-            delta_batch: 0,
-            check_every: 1,
-            incremental: false,
             net: NetPolicy::default(),
             chaos: None,
         }
@@ -284,9 +325,10 @@ impl IterConfig {
         self
     }
 
-    /// Enables eager chunked reduce→map hand-off (§3.3 buffer).
+    /// Switches to one2one with eager chunked reduce→map hand-off
+    /// (§3.3 buffer; [`Activation::Eager`]).
     pub fn with_eager_handoff(mut self) -> Self {
-        self.eager_handoff = true;
+        self.mode = ExecMode::One2One(Activation::Eager);
         self
     }
 
@@ -296,16 +338,16 @@ impl IterConfig {
         self
     }
 
-    /// Switches to one2all broadcast mapping (implies synchronous maps).
+    /// Switches to one2all broadcast mapping (synchronous maps).
     pub fn with_one2all(mut self) -> Self {
-        self.mapping = Mapping::One2All;
-        self.sync_maps = true;
+        self.mode = ExecMode::One2All;
         self
     }
 
-    /// Forces synchronous map execution (the paper's sync. variant).
+    /// Switches to one2one with synchronous map execution (the paper's
+    /// sync. variant; [`Activation::Sync`]).
     pub fn with_sync_maps(mut self) -> Self {
-        self.sync_maps = true;
+        self.mode = ExecMode::One2One(Activation::Sync);
         self
     }
 
@@ -341,43 +383,32 @@ impl IterConfig {
     }
 
     /// Switches to barrier-free delta-accumulative execution
-    /// (Maiter-style). Requires an `Accumulative` job, the
-    /// `run_accumulative` entry point and a distance threshold (the
-    /// accumulated-progress termination detector).
+    /// ([`ExecMode::Delta`]), keeping any delta knobs already set.
+    /// Requires an `Accumulative` job, the `run_accumulative` entry
+    /// point and a distance threshold (the accumulated-progress
+    /// termination detector).
     pub fn with_accumulative_mode(mut self) -> Self {
-        self.accumulative = true;
+        let (batch, check_every) = self.mode.delta_knobs();
+        self.mode = ExecMode::Delta { batch, check_every };
         self
     }
 
-    /// Accumulative mode: apply at most `batch` pending keys per round,
+    /// Delta mode with at most `batch` pending keys applied per round,
     /// largest-progress-first (0 = all pending keys).
     pub fn with_delta_batch(mut self, batch: usize) -> Self {
-        self.delta_batch = batch;
+        let (_, check_every) = self.mode.delta_knobs();
+        self.mode = ExecMode::Delta { batch, check_every };
         self
     }
 
-    /// Accumulative mode: run `rounds` delta-propagation rounds between
-    /// two global termination checks.
+    /// Delta mode with `rounds` delta-propagation rounds between two
+    /// global termination checks.
     pub fn with_check_every(mut self, rounds: usize) -> Self {
-        self.check_every = rounds;
+        let check_every =
+            NonZeroUsize::new(rounds).expect("need at least one round between termination checks");
+        let (batch, _) = self.mode.delta_knobs();
+        self.mode = ExecMode::Delta { batch, check_every };
         self
-    }
-
-    /// Incremental re-convergence from a preserved fixpoint: the state
-    /// parts carry a warm `(value, pending)` plan (see
-    /// [`plan_incremental`](crate::plan_incremental)) and engines
-    /// decode them instead of seeding. Implies nothing else — combine
-    /// with [`with_accumulative_mode`](IterConfig::with_accumulative_mode),
-    /// which it requires.
-    pub fn with_incremental_mode(mut self) -> Self {
-        self.incremental = true;
-        self
-    }
-
-    /// Whether maps effectively run synchronously (explicit flag or
-    /// implied by one2all).
-    pub fn effective_sync(&self) -> bool {
-        self.sync_maps || self.mapping == Mapping::One2All
     }
 
     /// [`IterConfig::validate`], plus the check that the entry point
@@ -390,10 +421,10 @@ impl IterConfig {
         accumulative: bool,
     ) -> Result<(), EngineError> {
         self.validate(faults)?;
-        match (self.accumulative, accumulative) {
+        match (matches!(self.mode, ExecMode::Delta { .. }), accumulative) {
             (true, false) => Err(EngineError::Config(
-                "cfg.accumulative is set: use run_accumulative for barrier-free \
-                 delta-accumulative execution"
+                "cfg is in delta-accumulative mode: use run_accumulative for \
+                 barrier-free delta-accumulative execution"
                     .into(),
             )),
             (false, true) => Err(EngineError::Config(
@@ -418,35 +449,7 @@ impl IterConfig {
     /// Delay faults alone are fine without checkpoints: a delayed pair
     /// still completes.
     pub fn validate(&self, faults: &[FaultEvent]) -> Result<(), EngineError> {
-        if self.incremental && !self.accumulative {
-            return Err(EngineError::Config(
-                "incremental mode requires accumulative mode: warm-start \
-                 plans are (value, pending-delta) stores"
-                    .into(),
-            ));
-        }
-        if self.accumulative {
-            if self.mapping == Mapping::One2All {
-                return Err(EngineError::Config(
-                    "accumulative mode requires one2one mapping: one2all \
-                     broadcast has no per-key delta store"
-                        .into(),
-                ));
-            }
-            if self.sync_maps {
-                return Err(EngineError::Config(
-                    "accumulative mode is barrier-free: sync_maps would \
-                     reintroduce the per-iteration barrier it removes"
-                        .into(),
-                ));
-            }
-            if self.eager_handoff {
-                return Err(EngineError::Config(
-                    "accumulative mode has no reduce->map hand-off: \
-                     eager_handoff does not apply"
-                        .into(),
-                ));
-            }
+        if let ExecMode::Delta { .. } = self.mode {
             if self.load_balance.is_some() {
                 return Err(EngineError::Config(
                     "accumulative mode does not support load balancing yet: \
@@ -465,13 +468,6 @@ impl IterConfig {
                 return Err(EngineError::Config(
                     "accumulative mode needs a distance_threshold: \
                      termination is the accumulated-progress detector"
-                        .into(),
-                ));
-            }
-            if self.check_every == 0 {
-                return Err(EngineError::Config(
-                    "accumulative mode needs check_every >= 1 round between \
-                     termination checks"
                         .into(),
                 ));
             }
@@ -573,7 +569,7 @@ mod tests {
         assert_eq!(c.termination.distance_threshold, Some(0.01));
         assert_eq!(c.checkpoint_interval, 3);
         assert!(c.load_balance.is_some());
-        assert!(!c.effective_sync());
+        assert!(!c.mode.is_sync());
     }
 
     #[test]
@@ -595,22 +591,25 @@ mod tests {
     #[test]
     fn eager_handoff_flag() {
         let c = IterConfig::new("sssp", 2, 3).with_eager_handoff();
-        assert!(c.eager_handoff);
-        assert!(!IterConfig::new("sssp", 2, 3).eager_handoff);
+        assert_eq!(c.mode, ExecMode::One2One(Activation::Eager));
+        assert_eq!(
+            IterConfig::new("sssp", 2, 3).mode,
+            ExecMode::One2One(Activation::Async)
+        );
     }
 
     #[test]
     fn one2all_implies_sync() {
         let c = IterConfig::new("kmeans", 4, 10).with_one2all();
-        assert_eq!(c.mapping, Mapping::One2All);
-        assert!(c.effective_sync());
+        assert_eq!(c.mode, ExecMode::One2All);
+        assert!(c.mode.is_sync());
     }
 
     #[test]
     fn sync_flag_alone_keeps_one2one() {
         let c = IterConfig::new("sssp", 4, 10).with_sync_maps();
-        assert_eq!(c.mapping, Mapping::One2One);
-        assert!(c.effective_sync());
+        assert_eq!(c.mode, ExecMode::One2One(Activation::Sync));
+        assert!(c.mode.is_sync());
     }
 
     fn is_config_err<T>(r: Result<T, EngineError>, needle: &str) -> bool {
@@ -707,14 +706,54 @@ mod tests {
             .with_delta_batch(16)
             .with_check_every(3)
             .with_distance_threshold(1e-9);
-        assert!(c.accumulative);
-        assert_eq!(c.delta_batch, 16);
-        assert_eq!(c.check_every, 3);
+        assert_eq!(
+            c.mode,
+            ExecMode::Delta {
+                batch: 16,
+                check_every: NonZeroUsize::new(3).unwrap()
+            }
+        );
         assert!(c.validate(&[]).is_ok());
-        let d = IterConfig::new("pr", 4, 50);
-        assert!(!d.accumulative);
-        assert_eq!(d.delta_batch, 0);
-        assert_eq!(d.check_every, 1);
+        let d = IterConfig::new("pr", 4, 50).with_accumulative_mode();
+        assert_eq!(
+            d.mode,
+            ExecMode::Delta {
+                batch: 0,
+                check_every: NonZeroUsize::MIN
+            }
+        );
+    }
+
+    #[test]
+    fn delta_setters_keep_each_others_knobs() {
+        let c = IterConfig::new("pr", 4, 50)
+            .with_check_every(3)
+            .with_delta_batch(16)
+            .with_accumulative_mode();
+        assert_eq!(
+            c.mode,
+            ExecMode::Delta {
+                batch: 16,
+                check_every: NonZeroUsize::new(3).unwrap()
+            }
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one round")]
+    fn zero_check_every_rejected() {
+        let _ = IterConfig::new("pr", 2, 5).with_check_every(0);
+    }
+
+    #[test]
+    fn labels_follow_the_mode() {
+        let label = |c: IterConfig| c.mode.label("iMapReduce");
+        let c = || IterConfig::new("x", 2, 5);
+        assert_eq!(label(c()), "iMapReduce");
+        assert_eq!(label(c().with_eager_handoff()), "iMapReduce");
+        assert_eq!(label(c().with_one2all()), "iMapReduce");
+        assert_eq!(label(c().with_sync_maps()), "iMapReduce (sync.)");
+        assert_eq!(label(c().with_accumulative_mode()), "iMapReduce (delta)");
     }
 
     #[test]
@@ -729,18 +768,6 @@ mod tests {
             .with_accumulative_mode()
             .with_distance_threshold(1e-9);
         assert!(is_config_err(
-            base.clone().with_one2all().validate(&[]),
-            "one2one"
-        ));
-        assert!(is_config_err(
-            base.clone().with_sync_maps().validate(&[]),
-            "sync_maps"
-        ));
-        assert!(is_config_err(
-            base.clone().with_eager_handoff().validate(&[]),
-            "eager_handoff"
-        ));
-        assert!(is_config_err(
             base.clone()
                 .with_load_balance(LoadBalance::default())
                 .validate(&[]),
@@ -749,10 +776,6 @@ mod tests {
         assert!(is_config_err(
             base.clone().with_resume().validate(&[]),
             "resume"
-        ));
-        assert!(is_config_err(
-            base.clone().with_check_every(0).validate(&[]),
-            "check_every"
         ));
         // The shared fault rules still apply under accumulative mode.
         let kill = FaultEvent::Kill {
@@ -768,21 +791,6 @@ mod tests {
             at_iteration: 1,
         };
         assert!(is_config_err(base.validate(&[hang]), "watchdog"));
-    }
-
-    #[test]
-    fn incremental_builder_sets_field_and_requires_accumulative() {
-        let c = IterConfig::new("pr", 4, 50)
-            .with_accumulative_mode()
-            .with_incremental_mode()
-            .with_distance_threshold(1e-9);
-        assert!(c.incremental);
-        assert!(c.validate(&[]).is_ok());
-        let d = IterConfig::new("pr", 4, 50);
-        assert!(!d.incremental);
-        // Incremental without accumulative is rejected on every engine.
-        let bare = IterConfig::new("pr", 4, 50).with_incremental_mode();
-        assert!(is_config_err(bare.validate(&[]), "accumulative"));
     }
 
     #[test]

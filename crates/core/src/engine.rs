@@ -13,8 +13,8 @@
 //! fault tolerance with rollback (§3.4.1), and migration-based load
 //! balancing (§3.4.2).
 
-use crate::api::{IterativeJob, Mapping};
-use crate::config::{FaultEvent, IterConfig};
+use crate::api::IterativeJob;
+use crate::config::{Activation, ExecMode, FaultEvent, IterConfig};
 use crate::step::{delta_merge_step, delta_send_step, map_step, reduce_step, SimCost};
 use bytes::Bytes;
 use imr_dfs::Dfs;
@@ -203,7 +203,7 @@ impl IterativeRunner {
         let n = cfg.num_tasks;
         self.check_launch(n, static_dir);
         let cost = &self.cluster.cost;
-        let one2all = cfg.mapping == Mapping::One2All;
+        let one2all = cfg.mode == ExecMode::One2All;
 
         // ---- One-time initialization (persistent task launch + load) --
         let job_start = VInstant::EPOCH + cost.job_setup;
@@ -279,7 +279,7 @@ impl IterativeRunner {
         };
 
         let mut report = RunReport {
-            label: self.label(cfg),
+            label: cfg.mode.label("iMapReduce"),
             ..RunReport::default()
         };
         let mut distances: Vec<f64> = Vec::new();
@@ -319,7 +319,7 @@ impl IterativeRunner {
             let mut map_done: Vec<VInstant> = Vec::with_capacity(n);
             let mut segments: Vec<Vec<Bytes>> = Vec::with_capacity(n);
             for p in 0..n {
-                let activation = if cfg.effective_sync() {
+                let activation = if cfg.mode.is_sync() {
                     sync_gate
                 } else {
                     state_ready[p]
@@ -355,7 +355,7 @@ impl IterativeRunner {
                         .spanning(activation.as_nanos(), map_done[p].as_nanos())
                         .tagged(node.index() as u32, p as u32, iter as u32, generation),
                 );
-                if cfg.effective_sync() {
+                if cfg.mode.is_sync() {
                     self.phase(
                         Phase::BarrierWait,
                         sync_gate
@@ -513,7 +513,7 @@ impl IterativeRunner {
                         + cost.handoff_flush
                         + cost.local_transfer_time(new_state_bytes[q]);
                     state_complete[q] = complete;
-                    state_ready[q] = if cfg.eager_handoff {
+                    state_ready[q] = if cfg.mode == ExecMode::One2One(Activation::Eager) {
                         // First buffer flush: right after the reduce
                         // cleared its shuffle barrier (§3.3's eager
                         // sending; the buffer amortizes the context
@@ -754,11 +754,13 @@ impl IterativeRunner {
     /// and the canonical trace-kind sequence match across engines, and
     /// repeated simulated runs are bit-reproducible.
     ///
-    /// `iterations` counts termination-check epochs (`cfg.check_every`
+    /// `iterations` counts termination-check epochs (`check_every`
     /// rounds each). Fault injection is rejected here — the mode's
     /// recovery path is supervised re-execution, exercised on the
-    /// native backends.
-    pub fn run_accumulative<J: crate::Accumulative>(
+    /// native backends. `warm` as in `IterEngine::run_delta`, the
+    /// trait method that reaches this.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn run_delta<J: crate::Accumulative>(
         &self,
         job: &J,
         cfg: &IterConfig,
@@ -766,10 +768,14 @@ impl IterativeRunner {
         static_dir: &str,
         output_dir: &str,
         faults: &[FaultEvent],
+        warm: bool,
     ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
         use crate::accum::DeltaStore;
 
         cfg.validate_entry(faults, true)?;
+        let ExecMode::Delta { batch, check_every } = cfg.mode else {
+            unreachable!("validate_entry: run_accumulative needs delta mode")
+        };
         if !faults.is_empty() {
             return Err(EngineError::Config(
                 "fault injection under accumulative mode requires the native backend".into(),
@@ -794,26 +800,19 @@ impl IterativeRunner {
             let node = assignment[p];
             let (stat, _, mut clock) = self.launch_pair::<J>(static_dir, p, node, job_start)?;
             let bytes = self.dfs.len(&part_path(state_dir, p))?;
-            let store = if cfg.incremental {
+            let store = if warm {
                 // Warm start: the state part already holds the planned
                 // (key, (value, pending)) entries — decode, don't seed.
-                let st: Vec<(J::K, (J::S, J::S))> =
-                    read_part(&self.dfs, state_dir, p, node, &mut clock)?;
-                assert_eq!(
-                    st.len(),
-                    stat.len(),
-                    "state/static co-partitioning broken at pair {p}"
-                );
-                DeltaStore::restore(st)
+                DeltaStore::restore(read_part(&self.dfs, state_dir, p, node, &mut clock)?)
             } else {
                 let st: Vec<(J::K, J::S)> = read_part(&self.dfs, state_dir, p, node, &mut clock)?;
-                assert_eq!(
-                    st.len(),
-                    stat.len(),
-                    "state/static co-partitioning broken at pair {p}"
-                );
                 DeltaStore::seed(job, &st)
             };
+            assert_eq!(
+                store.len(),
+                stat.len(),
+                "state/static co-partitioning broken at pair {p}"
+            );
             clock.advance(cost.serde_per_byte * bytes);
             stores.push(store);
             static_store.push(stat);
@@ -826,7 +825,7 @@ impl IterativeRunner {
             .expect("validate: accumulative mode needs a threshold");
         let max_checks = cfg.termination.max_iterations;
         let mut report = RunReport {
-            label: "iMapReduce (delta)".to_owned(),
+            label: cfg.mode.label("iMapReduce"),
             ..RunReport::default()
         };
         let mut distances: Vec<f64> = Vec::new();
@@ -846,7 +845,7 @@ impl IterativeRunner {
                         ),
                 );
             }
-            for _round in 0..cfg.check_every {
+            for _round in 0..check_every.get() {
                 // ---- Round phase A: select, apply, extract, send -----
                 let mut outgoing: Vec<Vec<Bytes>> = Vec::with_capacity(n);
                 let mut send_done: Vec<VInstant> = Vec::with_capacity(n);
@@ -859,7 +858,7 @@ impl IterativeRunner {
                         job,
                         &mut stores[p],
                         &static_store[p],
-                        cfg.delta_batch,
+                        batch,
                         n,
                         &mut SimCost::new(&mut clock, cost, speed),
                     );
@@ -986,14 +985,6 @@ impl IterativeRunner {
             migrations: 0,
             recoveries: 0,
         })
-    }
-
-    fn label(&self, cfg: &IterConfig) -> String {
-        if cfg.mapping == Mapping::One2One && cfg.sync_maps {
-            "iMapReduce (sync.)".to_owned()
-        } else {
-            "iMapReduce".to_owned()
-        }
     }
 
     /// Checks a job's shape against the cluster and counts its launch:

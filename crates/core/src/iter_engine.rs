@@ -69,13 +69,14 @@ pub trait IterEngine {
     ) -> Result<IterOutcome<J::K, J::S>, EngineError>;
 
     /// Runs an [`Accumulative`] job in the barrier-free
-    /// delta-accumulative mode (`cfg.accumulative` must be set; see
+    /// delta-accumulative mode (`cfg.mode` must be
+    /// [`ExecMode::Delta`](crate::ExecMode::Delta); see
     /// [`IterConfig::with_accumulative_mode`]). Tasks keep per-key
     /// `(value, delta)` stores, propagate only non-identity deltas,
     /// schedule work by largest-pending-delta priority, and terminate
     /// when the globally-summed pending progress drops below the
     /// distance threshold. `iterations` in the outcome counts
-    /// termination-check epochs (`cfg.check_every` rounds each), and
+    /// termination-check epochs (`check_every` rounds each), and
     /// `distances` holds the global pending-progress sum at each check.
     fn run_accumulative<J: Accumulative>(
         &self,
@@ -85,11 +86,31 @@ pub trait IterEngine {
         static_dir: &str,
         output_dir: &str,
         faults: &[FaultEvent],
+    ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
+        self.run_delta(job, cfg, state_dir, static_dir, output_dir, faults, false)
+    }
+
+    /// The delta-accumulative run behind
+    /// [`run_accumulative`](IterEngine::run_accumulative) (`warm =
+    /// false`: epoch-0 state parts hold initial values to seed from)
+    /// and [`run_incremental`](IterEngine::run_incremental) (`warm =
+    /// true`: they hold the incremental planner's `(key, (value,
+    /// pending))` entries to restore). Call one of those two instead.
+    #[allow(clippy::too_many_arguments)]
+    fn run_delta<J: Accumulative>(
+        &self,
+        job: &J,
+        cfg: &IterConfig,
+        state_dir: &str,
+        static_dir: &str,
+        output_dir: &str,
+        faults: &[FaultEvent],
+        warm: bool,
     ) -> Result<IterOutcome<J::K, J::S>, EngineError>;
 
     /// Re-converges `job` from a preserved fixpoint after `delta`
-    /// mutates the graph (i2MapReduce-style; `cfg.incremental` and
-    /// `cfg.accumulative` must both be set).
+    /// mutates the graph (i2MapReduce-style; `cfg.mode` must be
+    /// [`ExecMode::Delta`](crate::ExecMode::Delta)).
     ///
     /// Loads the latest fixpoint from `fix` and the previous static
     /// parts from `prev_static_dir`, computes the affected-key plan
@@ -112,12 +133,7 @@ pub trait IterEngine {
         output_dir: &str,
         faults: &[FaultEvent],
     ) -> Result<IncrementalOutcome<J::S>, EngineError> {
-        if !cfg.incremental {
-            return Err(EngineError::Config(
-                "run_incremental requires IterConfig::with_incremental_mode".into(),
-            ));
-        }
-        cfg.validate(faults)?;
+        cfg.validate_entry(faults, true)?;
         let mut clock = TaskClock::default();
         let stats = prepare_incremental(
             job,
@@ -130,7 +146,7 @@ pub trait IterEngine {
             static_dir,
             &mut clock,
         )?;
-        let outcome = self.run_accumulative(job, cfg, state_dir, static_dir, output_dir, faults)?;
+        let outcome = self.run_delta(job, cfg, state_dir, static_dir, output_dir, faults, true)?;
         Ok(IncrementalOutcome { outcome, stats })
     }
 }
@@ -156,7 +172,7 @@ impl IterEngine for IterativeRunner {
         IterativeRunner::run(self, job, cfg, state_dir, static_dir, output_dir, faults)
     }
 
-    fn run_accumulative<J: Accumulative>(
+    fn run_delta<J: Accumulative>(
         &self,
         job: &J,
         cfg: &IterConfig,
@@ -164,7 +180,10 @@ impl IterEngine for IterativeRunner {
         static_dir: &str,
         output_dir: &str,
         faults: &[FaultEvent],
+        warm: bool,
     ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
-        IterativeRunner::run_accumulative(self, job, cfg, state_dir, static_dir, output_dir, faults)
+        IterativeRunner::run_delta(
+            self, job, cfg, state_dir, static_dir, output_dir, faults, warm,
+        )
     }
 }

@@ -14,7 +14,7 @@
 //!    connection from each reduce task to its paired map task lets maps
 //!    start the next iteration without waiting for all reducers.
 //!
-//! Extensions of §5 are included: one2all broadcast ([`Mapping`]),
+//! Extensions of §5 are included: one2all broadcast ([`ExecMode::One2All`]),
 //! multi-phase iterations ([`run_two_phase`]), and auxiliary
 //! convergence-detection phases ([`AuxPhase`]). Runtime support:
 //! distance/max-iteration termination, checkpoint-based fault tolerance
@@ -78,9 +78,12 @@ mod step;
 mod store;
 
 pub use accum::{Accumulative, BatchOutcome, DeltaStore};
-pub use api::{Emitter, IterativeJob, Mapping, StateInput};
+pub use api::{Emitter, IterativeJob, StateInput};
 pub use aux::{run_with_aux, AuxOutcome, AuxPhase};
-pub use config::{FaultEvent, IterConfig, LoadBalance, Termination, TransportKind, WatchdogConfig};
+pub use config::{
+    Activation, ExecMode, FaultEvent, IterConfig, LoadBalance, Termination, TransportKind,
+    WatchdogConfig,
+};
 pub use ctl::RunCtl;
 pub use engine::{IterOutcome, IterativeRunner};
 pub use incremental::{

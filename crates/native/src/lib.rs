@@ -78,8 +78,8 @@
 //! cross-engine test suite pins this down per algorithm, per transport,
 //! with and without injected faults and migrations.
 //!
-//! `eager_handoff` is accepted and ignored: it only shapes the
-//! virtual-time cost model, never the data path. Recovery here needs a
+//! `Activation::Eager` runs as `Async` here: eager hand-off only shapes
+//! the virtual-time cost model, never the data path. Recovery here needs a
 //! DFS snapshot to reload (there is no in-memory iteration-0 snapshot),
 //! so kill/hang faults or load balancing with `checkpoint_interval == 0`
 //! are rejected up front by the shared `IterConfig::validate` with the
@@ -101,12 +101,14 @@ pub mod fault;
 mod monitor;
 mod pair;
 pub mod remote;
+pub mod setup;
 mod supervisor;
 
 use bytes::Bytes;
 use fault::FaultBarrier;
 use imapreduce::{
-    FaultEvent, IterConfig, IterEngine, IterOutcome, IterativeJob, Mapping, RunCtl, TransportKind,
+    Accumulative, FaultEvent, IterConfig, IterEngine, IterOutcome, IterativeJob, RunCtl,
+    TransportKind,
 };
 use imr_dfs::{hist_path, snapshot_dir, Dfs};
 use imr_mapreduce::io::{num_parts, part_path};
@@ -118,10 +120,10 @@ use imr_telemetry::{Gauge, Phase, TelemetryHandle};
 use imr_trace::{TraceEvent, TraceHandle};
 use monitor::{monitor_loop, BalancePlan, Intervention, ProgressBoard};
 use pair::{
-    add_counts, delta_loop, pair_loop, Beat, EnvFail, PairCfg, PairCtx, PairDirs, PairEnv, PairLog,
-    PairOutcome,
+    add_counts, delta_loop, pair_loop, Beat, EnvFail, PairCtx, PairEnv, PairLog, PairOutcome,
 };
 use parking_lot::Mutex;
+use setup::{PairCfg, PairDirs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
@@ -242,20 +244,13 @@ impl NativeRunner {
         cfg.validate_entry(faults, false)?;
         let loop_fn: ThreadLoop<J> = |job, ctx, env, log| pair_loop(job, ctx, env, log);
         self.run_threaded(
-            job,
-            cfg,
-            state_dir,
-            static_dir,
-            output_dir,
-            faults,
-            loop_fn,
-            self.label(cfg),
+            job, cfg, state_dir, static_dir, output_dir, faults, loop_fn, false,
         )
     }
 
-    /// Runs an [`Accumulative`](imapreduce::Accumulative) job in the
-    /// barrier-free delta-accumulative mode on worker threads
-    /// (`cfg.accumulative` must be set). Tasks keep per-key
+    /// Runs an [`Accumulative`] job in the barrier-free
+    /// delta-accumulative mode on worker threads (`cfg.mode` must be
+    /// [`ExecMode::Delta`](imapreduce::ExecMode::Delta)). Tasks keep per-key
     /// `(value, delta)` stores, propagate only non-identity deltas in
     /// lock-step rounds, and terminate through the global
     /// accumulated-progress detector. The full fault-tolerance runtime
@@ -266,8 +261,7 @@ impl NativeRunner {
     /// For [`TransportKind::Tcp`] use [`NativeRunner::run_remote`] with
     /// a worker binary that routes the job through
     /// [`remote::serve_worker_accum`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_accumulative<J: imapreduce::Accumulative>(
+    pub fn run_accumulative<J: Accumulative>(
         &self,
         job: &J,
         cfg: &IterConfig,
@@ -276,17 +270,8 @@ impl NativeRunner {
         output_dir: &str,
         faults: &[FaultEvent],
     ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
-        cfg.validate_entry(faults, true)?;
-        let loop_fn: ThreadLoop<J> = |job, ctx, env, log| delta_loop(job, ctx, env, log);
-        self.run_threaded(
-            job,
-            cfg,
-            state_dir,
-            static_dir,
-            output_dir,
-            faults,
-            loop_fn,
-            "iMapReduce native (delta)".to_owned(),
+        IterEngine::run_delta(
+            self, job, cfg, state_dir, static_dir, output_dir, faults, false,
         )
     }
 
@@ -294,6 +279,7 @@ impl NativeRunner {
     /// thread per pair running `loop_fn` over fresh links each
     /// generation, plus the monitor/abort watchers, and hands the runs
     /// to the supervisor for triage, rollback and final stitching.
+    /// `warm` as in [`PairCfg::warm`].
     #[allow(clippy::too_many_arguments)]
     fn run_threaded<J: IterativeJob>(
         &self,
@@ -304,7 +290,7 @@ impl NativeRunner {
         output_dir: &str,
         faults: &[FaultEvent],
         loop_fn: ThreadLoop<J>,
-        label: String,
+        warm: bool,
     ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
         if cfg.transport == TransportKind::Tcp {
             return Err(EngineError::Config(
@@ -316,7 +302,7 @@ impl NativeRunner {
         assert_partitioning(&self.dfs, cfg, state_dir, static_dir);
         let n = cfg.num_tasks;
         let num_state_parts = num_parts(&self.dfs, state_dir);
-        let pair_cfg = PairCfg::from_config(cfg, num_state_parts);
+        let pair_cfg = PairCfg::from_config(cfg, num_state_parts, warm);
         let dirs = PairDirs {
             state_dir: state_dir.to_owned(),
             static_dir: static_dir.to_owned(),
@@ -479,20 +465,12 @@ impl NativeRunner {
             cfg,
             output_dir,
             faults,
-            label,
+            cfg.mode.label("iMapReduce native"),
             false,
             self.trace.as_ref(),
             self.ctl.as_ref(),
             &mut run_gen,
         )
-    }
-
-    fn label(&self, cfg: &IterConfig) -> String {
-        if cfg.mapping == Mapping::One2One && cfg.sync_maps {
-            "iMapReduce native (sync.)".to_owned()
-        } else {
-            "iMapReduce native".to_owned()
-        }
     }
 }
 
@@ -517,7 +495,7 @@ impl IterEngine for NativeRunner {
         NativeRunner::run(self, job, cfg, state_dir, static_dir, output_dir, faults)
     }
 
-    fn run_accumulative<J: imapreduce::Accumulative>(
+    fn run_delta<J: Accumulative>(
         &self,
         job: &J,
         cfg: &IterConfig,
@@ -525,8 +503,13 @@ impl IterEngine for NativeRunner {
         static_dir: &str,
         output_dir: &str,
         faults: &[FaultEvent],
+        warm: bool,
     ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
-        NativeRunner::run_accumulative(self, job, cfg, state_dir, static_dir, output_dir, faults)
+        cfg.validate_entry(faults, true)?;
+        let loop_fn: ThreadLoop<J> = |job, ctx, env, log| delta_loop(job, ctx, env, log);
+        self.run_threaded(
+            job, cfg, state_dir, static_dir, output_dir, faults, loop_fn, warm,
+        )
     }
 }
 

@@ -26,10 +26,11 @@
 //! the broadcast state both backends reassemble is bit-identical to
 //! the simulation engine's typed hand-off.
 
+use crate::setup::{PairCfg, PairDirs, PairPlan};
 use bytes::Bytes;
 use imapreduce::{
-    delta_merge_step, delta_send_step, map_step, reduce_step, Accumulative, DeltaStore, IterConfig,
-    IterativeJob, Mapping,
+    delta_merge_step, delta_send_step, map_step, reduce_step, Accumulative, DeltaStore, ExecMode,
+    IterativeJob,
 };
 use imr_dfs::snapshot_dir;
 use imr_mapreduce::EngineError;
@@ -39,76 +40,6 @@ use imr_simcluster::{Metrics, MetricsHandle};
 use imr_telemetry::{Gauge, Phase};
 use imr_trace::{TraceEvent, TraceKind};
 use std::time::{Duration, Instant};
-
-/// The per-pair slice of the job configuration, identical across
-/// backends (the TCP backend ships it in the setup frame).
-pub(crate) struct PairCfg {
-    pub n: usize,
-    pub one2all: bool,
-    pub sync: bool,
-    pub threshold: Option<f64>,
-    pub max_iters: usize,
-    pub checkpoint_interval: usize,
-    /// Number of `part-*` files under the state directory (one2all
-    /// epoch-0 loads read them all).
-    pub num_state_parts: usize,
-    /// Barrier-free delta-accumulative mode (run via `delta_loop`
-    /// instead of `pair_loop`).
-    pub accumulative: bool,
-    /// Accumulative mode: pending keys applied per round (0 = all).
-    pub delta_batch: usize,
-    /// Accumulative mode: rounds between two termination checks.
-    pub check_every: usize,
-    /// Incremental mode: epoch-0 state parts are warm
-    /// `(key, (value, pending))` plans to restore, not initial state to
-    /// seed (i2MapReduce-style warm start).
-    pub incremental: bool,
-}
-
-impl PairCfg {
-    pub(crate) fn from_config(cfg: &IterConfig, num_state_parts: usize) -> Self {
-        PairCfg {
-            n: cfg.num_tasks,
-            one2all: cfg.mapping == Mapping::One2All,
-            sync: cfg.effective_sync(),
-            threshold: cfg.termination.distance_threshold,
-            max_iters: cfg.termination.max_iterations,
-            checkpoint_interval: cfg.checkpoint_interval,
-            num_state_parts,
-            accumulative: cfg.accumulative,
-            delta_batch: cfg.delta_batch,
-            check_every: cfg.check_every,
-            incremental: cfg.incremental,
-        }
-    }
-}
-
-/// The DFS directory layout a pair reads from and writes to.
-pub(crate) struct PairDirs {
-    pub state_dir: String,
-    pub static_dir: String,
-    pub output_dir: String,
-}
-
-/// One pair's resolved fault script and emulated node speed for one
-/// generation, derived from the pending fault events and the pair's
-/// current placement.
-#[derive(Clone)]
-pub(crate) struct PairPlan {
-    /// Iterations after which this pair crashes (scripted kills).
-    pub kills: Vec<usize>,
-    /// Iterations after which this pair hangs until poisoned.
-    pub hangs: Vec<usize>,
-    /// `(iteration, millis)` scripted slowdowns during that iteration.
-    pub delays: Vec<(usize, u64)>,
-    /// Relative speed of the hosting node; below 1.0 the pair sleeps
-    /// `busy · (1/speed − 1)` per iteration to emulate slow hardware.
-    pub speed: f64,
-    /// Test hook (TCP backend): vanish — exit the process abruptly with
-    /// no outcome report — right after this iteration, emulating an
-    /// unscripted worker crash / dropped connection.
-    pub crash_after: Option<usize>,
-}
 
 /// How one pair's generation ended. `Finished` carries the pair's
 /// final partition already encoded, so the variant crosses the process
@@ -370,7 +301,7 @@ pub(crate) fn pair_loop<J: IterativeJob, E: PairEnv>(
 /// `pair_loop`'s environment contract and supervision surface.
 ///
 /// One "iteration" here is a termination-check epoch of
-/// `cfg.check_every` rounds. Each round the pair applies its
+/// `check_every` rounds. Each round the pair applies its
 /// highest-priority pending deltas, sends exactly one (possibly empty)
 /// ⊕-merged delta segment to EVERY peer — the same send-all/recv-all
 /// pattern the shuffle uses, so the buffered transport cannot deadlock
@@ -533,7 +464,8 @@ impl<'j, J: IterativeJob> MapReduce<'j, J> {
         };
         let mut state: Vec<(J::K, J::S)> = Vec::new();
         let mut prev_out = None;
-        if cfg.one2all {
+        let one2all = cfg.mode == ExecMode::One2All;
+        if one2all {
             // Every map task holds the full (small) broadcast state. In
             // a snapshot, part i is pair i's reduce output at the epoch
             // iteration; the broadcast state is their task-ordered
@@ -551,7 +483,7 @@ impl<'j, J: IterativeJob> MapReduce<'j, J> {
         }
         Ok(MapReduce {
             job,
-            one2all: cfg.one2all,
+            one2all,
             stat,
             state,
             prev_out,
@@ -563,7 +495,7 @@ impl<J: IterativeJob, E: PairEnv> PairBody<E> for MapReduce<'_, J> {
     fn step(&mut self, it: usize, ctx: &PairCtx<'_>, env: &mut E) -> Result<Work, EnvFail> {
         let (n, one2all) = (ctx.cfg.n, self.one2all);
         let mut counts = IterCounts::default();
-        if ctx.cfg.sync {
+        if ctx.cfg.mode.is_sync() {
             let wait_start = Instant::now();
             env.barrier_wait()?;
             env.phase(Phase::BarrierWait, wait_start.elapsed().as_nanos() as u64);
@@ -680,6 +612,10 @@ struct Delta<'j, J: Accumulative> {
     job: &'j J,
     stat: Vec<(J::K, J::T)>,
     store: DeltaStore<J::K, J::S>,
+    /// Pending keys applied per round (0 = all).
+    batch: usize,
+    /// Rounds per termination check.
+    check_every: usize,
 }
 
 impl<'j, J: Accumulative> Delta<'j, J> {
@@ -688,12 +624,15 @@ impl<'j, J: Accumulative> Delta<'j, J> {
     /// incremental warm start); epoch e > 0 restores the full
     /// `(key, (value, delta))` snapshot written at check `e`.
     fn load<E: PairEnv>(job: &'j J, ctx: &PairCtx<'_>, env: &mut E) -> Result<Self, EnvFail> {
+        let ExecMode::Delta { batch, check_every } = ctx.cfg.mode else {
+            unreachable!("delta_loop runs only in delta mode")
+        };
         let q = ctx.q;
         let stat: Vec<(J::K, J::T)> = decode_pairs(env.read_part(&ctx.dirs.static_dir, q)?)?;
         let store = if ctx.epoch > 0 {
             let snap = snapshot_dir(&ctx.dirs.output_dir, ctx.epoch);
             DeltaStore::decode(env.read_part(&snap, q)?)?
-        } else if ctx.cfg.incremental {
+        } else if ctx.cfg.warm {
             // Warm start: the part holds the planner's
             // (key, (value, pending)) entries. Verify against the
             // coordinator's Patch expectation before restoring.
@@ -710,7 +649,13 @@ impl<'j, J: Accumulative> Delta<'j, J> {
             stat.len(),
             "state/static co-partitioning broken at pair {q}"
         );
-        Ok(Delta { job, stat, store })
+        Ok(Delta {
+            job,
+            stat,
+            store,
+            batch,
+            check_every: check_every.get(),
+        })
     }
 }
 
@@ -720,12 +665,18 @@ impl<J: Accumulative, E: PairEnv> PairBody<E> for Delta<'_, J> {
         let mut counts = IterCounts::default();
         let mut busy = Duration::ZERO;
         env.trace(ctx.tag(TraceEvent::new(TraceKind::IterStart).at(ctx.now_ns()), it));
-        for _round in 0..ctx.cfg.check_every {
+        for _round in 0..self.check_every {
             // ---- Round phase A: select, apply, extract, send ---------
             let round_start_ns = ctx.now_ns();
             let work_start = Instant::now();
-            let batch = ctx.cfg.delta_batch;
-            let out = delta_send_step(self.job, &mut self.store, &self.stat, batch, n, &mut ());
+            let out = delta_send_step(
+                self.job,
+                &mut self.store,
+                &self.stat,
+                self.batch,
+                n,
+                &mut (),
+            );
             counts.deltas_sent += out.sent;
             counts.priority_preemptions += out.deferred;
             busy += work_start.elapsed();

@@ -41,22 +41,22 @@
 use crate::fault::FaultBarrier;
 use crate::monitor::{monitor_loop, BalancePlan, Intervention, ProgressBoard};
 use crate::pair::{
-    add_counts, delta_loop, pair_loop, Beat, EnvFail, PairCfg, PairCtx, PairDirs, PairEnv, PairLog,
-    PairOutcome, PairPlan,
+    add_counts, delta_loop, pair_loop, Beat, EnvFail, PairCtx, PairEnv, PairLog, PairOutcome,
 };
+use crate::setup::{PairCfg, PairDirs, PairPlan, Setup};
 use crate::supervisor::{assert_partitioning, supervise, GenInput, PairRun, RunOutcome};
 use crate::{NativeRunner, HANDOFF_BUFFER};
 use bytes::Bytes;
 use imapreduce::{
-    prepare_incremental, FaultEvent, FixpointStore, GraphDelta, Incremental, IncrementalOutcome,
-    IterConfig, IterOutcome, IterativeJob, Mapping, TransportKind,
+    prepare_incremental, ExecMode, FaultEvent, FixpointStore, GraphDelta, Incremental,
+    IncrementalOutcome, IterConfig, IterOutcome, IterativeJob, TransportKind,
 };
 use imr_dfs::{hist_path, snapshot_dir};
 use imr_mapreduce::io::{num_parts, part_path};
 use imr_mapreduce::EngineError;
 use imr_net::chaos::{ChaosDirection, ChaosState, ChaosStream, DIR_INBOUND, DIR_OUTBOUND};
 use imr_net::frame::{FrameReader, FrameWriter, HEADER_LEN};
-use imr_net::proto::{OutcomeKind, ToCoord, ToWorker, WireOutcome, WorkerSetup};
+use imr_net::proto::{OutcomeKind, ToCoord, ToWorker, WireOutcome};
 use imr_net::{Closed, FrameAction, NetError, NetPolicy, Transport, WorkerConn};
 use imr_records::Codec;
 use imr_simcluster::{Metrics, MetricsHandle, MetricsSnapshot, NodeId, TaskClock};
@@ -89,7 +89,7 @@ pub struct WorkerSpec {
     /// pick and parameterize the job.
     pub job_args: Vec<String>,
     /// Job identity tag (0 outside the job service): carried in the
-    /// worker argv, the hello and the setup frame, so a multi-job
+    /// worker argv and the hello, so a multi-job
     /// coordinator rejects a stray worker from another job's fleet and
     /// trace streams can be demultiplexed per job.
     pub job: u64,
@@ -157,9 +157,9 @@ impl NativeRunner {
 
     /// Re-converges `job` from a preserved fixpoint after `delta`
     /// mutates the graph, with every pair in its own OS process (the
-    /// TCP flavor of [`IterEngine::run_incremental`]; `cfg.incremental`
-    /// and `cfg.accumulative` must both be set, plus
-    /// `cfg.with_tcp_transport()`).
+    /// TCP flavor of [`IterEngine::run_incremental`]; `cfg.mode` must be
+    /// [`ExecMode::Delta`], plus `cfg.with_tcp_transport()`). This is
+    /// the only TCP entry point that starts workers warm.
     ///
     /// The incremental plan is computed in the supervisor
     /// ([`prepare_incremental`]); workers cannot be trusted to have
@@ -189,12 +189,7 @@ impl NativeRunner {
     where
         J: Incremental,
     {
-        if !cfg.incremental {
-            return Err(EngineError::Config(
-                "run_remote_incremental requires IterConfig::with_incremental_mode".into(),
-            ));
-        }
-        cfg.validate(faults)?;
+        cfg.validate_entry(faults, true)?;
         let mut clock = TaskClock::default();
         let stats = prepare_incremental(
             job,
@@ -248,7 +243,8 @@ impl NativeRunner {
             ));
         }
         assert_partitioning(&self.dfs, cfg, state_dir, static_dir);
-        let num_state_parts = num_parts(&self.dfs, state_dir);
+        let pair_cfg =
+            PairCfg::from_config(cfg, num_parts(&self.dfs, state_dir), patches.is_some());
         let dirs = PairDirs {
             state_dir: state_dir.to_owned(),
             static_dir: static_dir.to_owned(),
@@ -302,8 +298,8 @@ impl NativeRunner {
                     self,
                     cfg,
                     spec,
+                    &pair_cfg,
                     &dirs,
-                    num_state_parts,
                     &listener,
                     &addr,
                     generation_no,
@@ -320,7 +316,7 @@ impl NativeRunner {
             cfg,
             output_dir,
             faults,
-            format!("{} [tcp]", self.label(cfg)),
+            format!("{} [tcp]", cfg.mode.label("iMapReduce native")),
             true,
             self.trace.as_ref(),
             self.ctl.as_ref(),
@@ -516,8 +512,8 @@ fn run_generation(
     runner: &NativeRunner,
     cfg: &IterConfig,
     spec: &WorkerSpec,
+    pair_cfg: &PairCfg,
     dirs: &PairDirs,
-    num_state_parts: usize,
     listener: &TcpListener,
     addr: &str,
     generation: u64,
@@ -621,32 +617,13 @@ fn run_generation(
 
     // First frame on every connection: the job/generation parameters.
     for (q, plan) in plans.iter().enumerate() {
-        co.send_to(
-            q,
-            &ToWorker::Setup(Box::new(WorkerSetup {
-                job: spec.job,
-                num_tasks: n,
-                epoch,
-                one2all: cfg.mapping == Mapping::One2All,
-                sync: cfg.effective_sync(),
-                distance_threshold: cfg.termination.distance_threshold,
-                max_iterations: cfg.termination.max_iterations,
-                checkpoint_interval: cfg.checkpoint_interval,
-                num_state_parts,
-                state_dir: dirs.state_dir.clone(),
-                static_dir: dirs.static_dir.clone(),
-                output_dir: dirs.output_dir.clone(),
-                kills: plan.kills.clone(),
-                hangs: plan.hangs.clone(),
-                delays: plan.delays.clone(),
-                speed: plan.speed,
-                crash_after: plan.crash_after,
-                accumulative: cfg.accumulative,
-                delta_batch: cfg.delta_batch,
-                check_every: cfg.check_every,
-                incremental: cfg.incremental,
-            })),
-        );
+        let setup = Setup {
+            epoch,
+            cfg: *pair_cfg,
+            dirs: dirs.clone(),
+            plan: plan.clone(),
+        };
+        co.send_to(q, &setup.frame());
     }
 
     // Warm-start integrity: at epoch 0 of an incremental run each pair
@@ -1383,7 +1360,7 @@ pub fn serve_worker<J: IterativeJob>(
 
 /// Like [`serve_worker`], for jobs that also implement
 /// [`Accumulative`](imapreduce::Accumulative): when the coordinator's
-/// setup frame sets `accumulative`, the worker runs the barrier-free
+/// setup frame asks for delta mode, the worker runs the barrier-free
 /// `delta_loop` instead of `pair_loop`. Worker binaries should route
 /// every accumulative-capable job through this entry point — it behaves
 /// exactly like [`serve_worker`] when the mode is off.
@@ -1411,34 +1388,15 @@ fn serve_inner<J: IterativeJob>(
     accum: Option<RemoteLoop<J>>,
 ) -> Result<(), String> {
     let policy = NetPolicy::from_env();
-    let (conn, setup) =
+    let (conn, n, body) =
         WorkerConn::connect_with_policy(addr, pair, generation, job_id, HANDOFF_BUFFER, &policy)
             .map_err(|e| format!("pair {pair}: connect/handshake failed: {e}"))?;
-    let cfg = PairCfg {
-        n: setup.num_tasks,
-        one2all: setup.one2all,
-        sync: setup.sync,
-        threshold: setup.distance_threshold,
-        max_iters: setup.max_iterations,
-        checkpoint_interval: setup.checkpoint_interval,
-        num_state_parts: setup.num_state_parts,
-        accumulative: setup.accumulative,
-        delta_batch: setup.delta_batch,
-        check_every: setup.check_every,
-        incremental: setup.incremental,
-    };
-    let dirs = PairDirs {
-        state_dir: setup.state_dir.clone(),
-        static_dir: setup.static_dir.clone(),
-        output_dir: setup.output_dir.clone(),
-    };
-    let plan = PairPlan {
-        kills: setup.kills.clone(),
-        hangs: setup.hangs.clone(),
-        delays: setup.delays.clone(),
-        speed: setup.speed,
-        crash_after: setup.crash_after,
-    };
+    let Setup {
+        epoch,
+        cfg,
+        dirs,
+        plan,
+    } = Setup::decode(n, body).map_err(|e| format!("pair {pair}: bad setup frame: {e}"))?;
     // Data-path metrics are counted by the coordinator; the worker's
     // local registry is a sink.
     let metrics: MetricsHandle = Arc::new(Metrics::default());
@@ -1457,12 +1415,12 @@ fn serve_inner<J: IterativeJob>(
         cfg: &cfg,
         dirs: &dirs,
         plan: &plan,
-        epoch: setup.epoch,
+        epoch,
         metrics: &metrics,
         started,
     };
     let mut log = PairLog::default();
-    let loop_fn: RemoteLoop<J> = if cfg.accumulative {
+    let loop_fn: RemoteLoop<J> = if matches!(cfg.mode, ExecMode::Delta { .. }) {
         match accum {
             Some(f) => f,
             None => {

@@ -10,9 +10,10 @@
 //! pairs first when the monitor asked for a migration (§3.4.2).
 
 use crate::monitor::Intervention;
-use crate::pair::{PairLog, PairOutcome, PairPlan};
+use crate::pair::{PairLog, PairOutcome};
+use crate::setup::PairPlan;
 use bytes::Bytes;
-use imapreduce::{FaultEvent, IterConfig, IterOutcome, IterativeJob, Mapping, RunCtl};
+use imapreduce::{ExecMode, FaultEvent, IterConfig, IterOutcome, IterativeJob, RunCtl};
 use imr_dfs::{hist_path, migration_marker, resume_epoch, snapshot_dir, snapshot_epochs, Dfs};
 use imr_mapreduce::io::{delete_dir, part_path};
 use imr_mapreduce::EngineError;
@@ -637,7 +638,7 @@ pub(crate) fn assert_partitioning(dfs: &Dfs, cfg: &IterConfig, state_dir: &str, 
         n,
         "static data must be pre-partitioned into num_tasks parts"
     );
-    if cfg.mapping != Mapping::One2All {
+    if cfg.mode != ExecMode::One2All {
         assert_eq!(
             num_parts(dfs, state_dir),
             n,

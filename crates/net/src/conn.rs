@@ -22,7 +22,7 @@
 
 use crate::frame::{FrameReader, FrameWriter};
 use crate::policy::NetPolicy;
-use crate::proto::{IterCounts, ToCoord, ToWorker, WireOutcome, WorkerSetup};
+use crate::proto::{IterCounts, ToCoord, ToWorker, WireOutcome};
 use crate::transport::{Closed, Transport};
 use crate::NetError;
 use bytes::Bytes;
@@ -83,14 +83,15 @@ impl WorkerConn {
         generation: u64,
         job: u64,
         buffer: usize,
-    ) -> Result<(WorkerConn, WorkerSetup), NetError> {
+    ) -> Result<(WorkerConn, usize, Bytes), NetError> {
         WorkerConn::connect_with_policy(addr, pair, generation, job, buffer, &NetPolicy::default())
     }
 
     /// Connect to the coordinator, introduce ourselves as `pair` of
-    /// `generation` running `job`, and wait for the [`WorkerSetup`]
-    /// frame. `buffer` is the per-link credit allowance (the channel
-    /// backend's buffer size).
+    /// `generation` running `job`, and wait for the [`ToWorker::Setup`]
+    /// frame; returns the connection, the job's pair count and the
+    /// setup body. `buffer` is the per-link credit allowance (the
+    /// channel backend's buffer size).
     ///
     /// The TCP connect itself is retried with the policy's jittered
     /// exponential backoff (salted by pair and generation so a respawned
@@ -103,7 +104,7 @@ impl WorkerConn {
         job: u64,
         buffer: usize,
         policy: &NetPolicy,
-    ) -> Result<(WorkerConn, WorkerSetup), NetError> {
+    ) -> Result<(WorkerConn, usize, Bytes), NetError> {
         let salt = (pair as u64) ^ generation.rotate_left(32);
         let started = Instant::now();
         let mut attempt = 0u32;
@@ -144,8 +145,8 @@ impl WorkerConn {
         reader.expect_preamble()?;
         let mut first = reader.read()?;
         reader.get_mut().set_read_timeout(None)?;
-        let setup = match ToWorker::decode(&mut first)? {
-            ToWorker::Setup(setup) => *setup,
+        let (n, body) = match ToWorker::decode(&mut first)? {
+            ToWorker::Setup { num_tasks, body } => (num_tasks, body),
             other => {
                 return Err(NetError::Protocol(format!(
                     "expected setup frame, got {other:?}"
@@ -153,7 +154,6 @@ impl WorkerConn {
             }
         };
 
-        let n = setup.num_tasks;
         let shared = Arc::new(ConnShared {
             state: Mutex::new(ConnState {
                 queues: (0..n).map(|_| VecDeque::new()).collect(),
@@ -179,7 +179,8 @@ impl WorkerConn {
                 reader: Some(reader),
                 consumed_releases: 0,
             },
-            setup,
+            n,
+            body,
         ))
     }
 
@@ -439,7 +440,7 @@ fn reader_loop(mut reader: FrameReader<TcpStream>, shared: Arc<ConnShared>) {
                 state.drained = true;
                 state.poisoned = true;
             }
-            ToWorker::Setup(_) => {}
+            ToWorker::Setup { .. } => {}
         }
         drop(state);
         shared.cv.notify_all();

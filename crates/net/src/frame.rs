@@ -42,7 +42,7 @@ pub const MAX_FRAME: usize = 1 << 26;
 pub const WIRE_MAGIC: [u8; 4] = *b"IMRW";
 
 /// Wire protocol version negotiated by the preamble.
-pub const WIRE_VERSION: u32 = 3;
+pub const WIRE_VERSION: u32 = 4;
 
 /// Bytes of the per-direction preamble (magic + version).
 pub const PREAMBLE_LEN: usize = 8;

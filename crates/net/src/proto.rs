@@ -132,8 +132,10 @@ impl Codec for IterCounts {
 /// Messages sent from the coordinator to a worker process.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ToWorker {
-    /// First frame on every connection: the job/generation parameters.
-    Setup(Box<WorkerSetup>),
+    /// First frame on every connection: the job/generation parameters
+    /// for a job of `num_tasks` pairs. `body` is opaque here; the
+    /// native backend owns its codec (`imr_native::setup`).
+    Setup { num_tasks: usize, body: Bytes },
     /// A shuffle segment produced by pair `src`.
     Segment { src: usize, payload: Bytes },
     /// Pair `dest` consumed one of our segments; restore a credit.
@@ -189,48 +191,6 @@ pub enum OutcomeKind {
     Error,
 }
 
-/// Job/generation parameters delivered to a worker at connect time.
-/// Mirrors the thread backend's per-pair configuration plus the DFS
-/// layout the coordinator proxies reads for.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WorkerSetup {
-    /// Job tag; echoes the worker's [`ToCoord::Hello`] job id.
-    pub job: u64,
-    pub num_tasks: usize,
-    /// Checkpoint epoch to resume from (0 on a fresh run).
-    pub epoch: usize,
-    pub one2all: bool,
-    pub sync: bool,
-    pub distance_threshold: Option<f64>,
-    pub max_iterations: usize,
-    pub checkpoint_interval: usize,
-    /// Number of `part-*` files under `state_dir`.
-    pub num_state_parts: usize,
-    pub state_dir: String,
-    pub static_dir: String,
-    pub output_dir: String,
-    /// Scripted fault plan for this pair (iterations to fail at).
-    pub kills: Vec<usize>,
-    pub hangs: Vec<usize>,
-    pub delays: Vec<(usize, u64)>,
-    /// Emulated node speed (< 1.0 stretches busy time).
-    pub speed: f64,
-    /// Test hook: exit the process abruptly (no outcome frame) after
-    /// this iteration, simulating an unscripted worker crash.
-    pub crash_after: Option<usize>,
-    /// Run the barrier-free delta-accumulative loop instead of the
-    /// map/reduce iteration loop (requires an `Accumulative` job).
-    pub accumulative: bool,
-    /// Keys processed per delta round (0 = all pending keys).
-    pub delta_batch: usize,
-    /// Delta rounds between termination checks.
-    pub check_every: usize,
-    /// Incremental warm start: epoch-0 state parts hold planned
-    /// `(key, (value, pending))` entries to restore, guarded by a
-    /// [`ToWorker::Patch`] / [`ToCoord::PatchStats`] handshake.
-    pub incremental: bool,
-}
-
 impl Codec for OutcomeKind {
     fn encode(&self, buf: &mut BytesMut) {
         let tag: u8 = match self {
@@ -277,80 +237,6 @@ impl Codec for WireOutcome {
             + self.at_iteration.encoded_len()
             + self.message.encoded_len()
             + self.payload.encoded_len()
-    }
-}
-
-impl Codec for WorkerSetup {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.job.encode(buf);
-        self.num_tasks.encode(buf);
-        self.epoch.encode(buf);
-        self.one2all.encode(buf);
-        self.sync.encode(buf);
-        self.distance_threshold.encode(buf);
-        self.max_iterations.encode(buf);
-        self.checkpoint_interval.encode(buf);
-        self.num_state_parts.encode(buf);
-        self.state_dir.encode(buf);
-        self.static_dir.encode(buf);
-        self.output_dir.encode(buf);
-        self.kills.encode(buf);
-        self.hangs.encode(buf);
-        self.delays.encode(buf);
-        self.speed.encode(buf);
-        self.crash_after.encode(buf);
-        self.accumulative.encode(buf);
-        self.delta_batch.encode(buf);
-        self.check_every.encode(buf);
-        self.incremental.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> CodecResult<Self> {
-        Ok(WorkerSetup {
-            job: u64::decode(buf)?,
-            num_tasks: usize::decode(buf)?,
-            epoch: usize::decode(buf)?,
-            one2all: bool::decode(buf)?,
-            sync: bool::decode(buf)?,
-            distance_threshold: Option::<f64>::decode(buf)?,
-            max_iterations: usize::decode(buf)?,
-            checkpoint_interval: usize::decode(buf)?,
-            num_state_parts: usize::decode(buf)?,
-            state_dir: String::decode(buf)?,
-            static_dir: String::decode(buf)?,
-            output_dir: String::decode(buf)?,
-            kills: Vec::<usize>::decode(buf)?,
-            hangs: Vec::<usize>::decode(buf)?,
-            delays: Vec::<(usize, u64)>::decode(buf)?,
-            speed: f64::decode(buf)?,
-            crash_after: Option::<usize>::decode(buf)?,
-            accumulative: bool::decode(buf)?,
-            delta_batch: usize::decode(buf)?,
-            check_every: usize::decode(buf)?,
-            incremental: bool::decode(buf)?,
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        self.job.encoded_len()
-            + self.num_tasks.encoded_len()
-            + self.epoch.encoded_len()
-            + self.one2all.encoded_len()
-            + self.sync.encoded_len()
-            + self.distance_threshold.encoded_len()
-            + self.max_iterations.encoded_len()
-            + self.checkpoint_interval.encoded_len()
-            + self.num_state_parts.encoded_len()
-            + self.state_dir.encoded_len()
-            + self.static_dir.encoded_len()
-            + self.output_dir.encoded_len()
-            + self.kills.encoded_len()
-            + self.hangs.encoded_len()
-            + self.delays.encoded_len()
-            + self.speed.encoded_len()
-            + self.crash_after.encoded_len()
-            + self.accumulative.encoded_len()
-            + self.delta_batch.encoded_len()
-            + self.check_every.encoded_len()
-            + self.incremental.encoded_len()
     }
 }
 
@@ -548,9 +434,10 @@ impl Codec for ToCoord {
 impl Codec for ToWorker {
     fn encode(&self, buf: &mut BytesMut) {
         match self {
-            ToWorker::Setup(setup) => {
+            ToWorker::Setup { num_tasks, body } => {
                 0u8.encode(buf);
-                setup.encode(buf);
+                num_tasks.encode(buf);
+                body.encode(buf);
             }
             ToWorker::Segment { src, payload } => {
                 1u8.encode(buf);
@@ -595,7 +482,10 @@ impl Codec for ToWorker {
     }
     fn decode(buf: &mut Bytes) -> CodecResult<Self> {
         Ok(match u8::decode(buf)? {
-            0 => ToWorker::Setup(Box::new(WorkerSetup::decode(buf)?)),
+            0 => ToWorker::Setup {
+                num_tasks: usize::decode(buf)?,
+                body: Bytes::decode(buf)?,
+            },
             1 => ToWorker::Segment {
                 src: usize::decode(buf)?,
                 payload: Bytes::decode(buf)?,
@@ -632,7 +522,7 @@ impl Codec for ToWorker {
     }
     fn encoded_len(&self) -> usize {
         1 + match self {
-            ToWorker::Setup(setup) => setup.encoded_len(),
+            ToWorker::Setup { num_tasks, body } => num_tasks.encoded_len() + body.encoded_len(),
             ToWorker::Segment { src, payload } => src.encoded_len() + payload.encoded_len(),
             ToWorker::Credit { dest } => dest.encoded_len(),
             ToWorker::BarrierRelease => 0,
@@ -661,32 +551,6 @@ mod tests {
         let decoded = T::decode(&mut buf).unwrap();
         assert!(buf.is_empty(), "trailing bytes after {decoded:?}");
         assert_eq!(decoded, msg);
-    }
-
-    fn sample_setup() -> WorkerSetup {
-        WorkerSetup {
-            job: 11,
-            num_tasks: 4,
-            epoch: 6,
-            one2all: true,
-            sync: false,
-            distance_threshold: Some(1e-9),
-            max_iterations: 50,
-            checkpoint_interval: 5,
-            num_state_parts: 4,
-            state_dir: "/job/state".into(),
-            static_dir: "/job/static".into(),
-            output_dir: "/job/out".into(),
-            kills: vec![7],
-            hangs: vec![],
-            delays: vec![(3, 250)],
-            speed: 0.5,
-            crash_after: Some(9),
-            accumulative: true,
-            delta_batch: 16,
-            check_every: 3,
-            incremental: true,
-        }
     }
 
     #[test]
@@ -757,7 +621,10 @@ mod tests {
 
     #[test]
     fn to_worker_round_trips() {
-        round_trip(ToWorker::Setup(Box::new(sample_setup())));
+        round_trip(ToWorker::Setup {
+            num_tasks: 4,
+            body: Bytes::from(vec![6; 90]),
+        });
         round_trip(ToWorker::Segment {
             src: 0,
             payload: Bytes::from(vec![5; 17]),

@@ -127,7 +127,7 @@ fn incremental_sssp_equivalent_across_engines_and_to_cold() {
         .run_remote_incremental(
             &job,
             &worker_spec(&["sssp"]),
-            &cfg.clone().with_incremental_mode().with_tcp_transport(),
+            &cfg.clone().with_tcp_transport(),
             &fix_t,
             &d.static_,
             &delta,
@@ -186,7 +186,7 @@ fn incremental_pagerank_equivalent_across_engines_and_to_cold() {
         .run_remote_incremental(
             &job,
             &worker_spec(&["pagerank", &nodes]),
-            &cfg.clone().with_incremental_mode().with_tcp_transport(),
+            &cfg.clone().with_tcp_transport(),
             &fix_t,
             &d.static_,
             &delta,
@@ -247,7 +247,7 @@ fn incremental_concomp_equivalent_across_engines_and_to_cold() {
         .run_remote_incremental(
             &job,
             &worker_spec(&["concomp"]),
-            &cfg.clone().with_incremental_mode().with_tcp_transport(),
+            &cfg.clone().with_tcp_transport(),
             &fix_t,
             &d.static_,
             &delta,
@@ -324,9 +324,9 @@ fn incremental_kill_replays_bit_identically_on_channel_and_tcp() {
             let r = native_runner(4);
             let (_, fix) = converge_and_preserve(&r, &job, &base, &cfg, "/i").unwrap();
             let inc_cfg = if tcp {
-                cfg.clone().with_incremental_mode().with_tcp_transport()
+                cfg.clone().with_tcp_transport()
             } else {
-                cfg.clone().with_incremental_mode()
+                cfg.clone()
             };
             let out = if tcp {
                 r.run_remote_incremental(
@@ -373,10 +373,9 @@ fn incremental_kill_replays_bit_identically_on_channel_and_tcp() {
     }
 }
 
-/// Configuration and input validation: incremental mode requires
-/// accumulative mode, `run_incremental` requires the incremental flag,
-/// and malformed deltas (unknown endpoints, duplicate node inserts)
-/// are rejected with descriptive errors before any engine runs.
+/// Input validation: malformed deltas (unknown endpoints, duplicate
+/// node inserts) are rejected with descriptive errors before any
+/// engine runs.
 #[test]
 fn incremental_validation_rejects_bad_configs_and_deltas() {
     fn expect_config<T>(r: Result<T, EngineError>, needle: &str) {
@@ -387,11 +386,6 @@ fn incremental_validation_rejects_bad_configs_and_deltas() {
         }
     }
 
-    // Incremental without accumulative is a config error.
-    let bare = IterConfig::new("x", 2, 10).with_incremental_mode();
-    expect_config(bare.validate(&[]), "accumulative");
-
-    // run_incremental without the incremental flag refuses to run.
     let g = dataset("DBLP").unwrap().generate(0.003);
     let job = SsspInc { source: 0 };
     let base = weighted_statics(&g);
@@ -401,30 +395,15 @@ fn incremental_validation_rejects_bad_configs_and_deltas() {
     let r = imr_runner(2);
     let (_, fix) = converge_and_preserve(&r, &job, &base, &cfg, "/i").unwrap();
     let d = inc_dirs("/i");
-    expect_config(
-        r.run_incremental(
-            &job,
-            &cfg,
-            &fix,
-            &d.static_,
-            &GraphDelta::new(),
-            &d.inc_state,
-            &d.inc_static,
-            &d.inc_out,
-            &[],
-        ),
-        "with_incremental_mode",
-    );
 
     // Deltas naming unknown endpoints or re-inserting live nodes fail
     // with the planner's descriptive message.
-    let inc_cfg = cfg.clone().with_incremental_mode();
     let mut bad_edge = GraphDelta::new();
     bad_edge.insert_edge(0, 9_999_999, 1.0);
     expect_config(
         r.run_incremental(
             &job,
-            &inc_cfg,
+            &cfg,
             &fix,
             &d.static_,
             &bad_edge,
@@ -440,7 +419,7 @@ fn incremental_validation_rejects_bad_configs_and_deltas() {
     expect_config(
         r.run_incremental(
             &job,
-            &inc_cfg,
+            &cfg,
             &fix,
             &d.static_,
             &dup_node,
@@ -458,7 +437,7 @@ fn incremental_validation_rejects_bad_configs_and_deltas() {
     let out = r
         .run_incremental(
             &job,
-            &inc_cfg,
+            &cfg,
             &fix,
             &d.static_,
             &ok,

@@ -3,8 +3,10 @@
 //! handling, priority ordering, and clean worker shutdown on drain or
 //! coordinator disconnect.
 
+use imapreduce::IterConfig;
 use imr_jobs::{AlgoSpec, EngineSel, JobPhase, JobService, JobSpec, ResultRecord, ServiceConfig};
-use imr_net::proto::{ToCoord, ToWorker, WorkerSetup};
+use imr_native::setup::{PairCfg, PairDirs, PairPlan, Setup};
+use imr_net::proto::{ToCoord, ToWorker};
 use imr_net::{FrameReader, FrameWriter};
 use imr_records::Codec;
 use std::net::TcpListener;
@@ -303,9 +305,7 @@ fn drained_worker_exits_cleanly_without_outcome() {
         }
         other => panic!("expected Hello, got {other:?}"),
     }
-    writer
-        .write(&ToWorker::Setup(Box::new(dummy_setup())).to_bytes())
-        .unwrap();
+    writer.write(&dummy_setup().frame().to_bytes()).unwrap();
     writer.write(&ToWorker::Drain.to_bytes()).unwrap();
 
     // The worker may flush frames (beats, trace) before closing, but a
@@ -343,9 +343,7 @@ fn worker_survives_coordinator_disconnect() {
         ToCoord::decode(&mut hello).unwrap(),
         ToCoord::Hello { .. }
     ));
-    writer
-        .write(&ToWorker::Setup(Box::new(dummy_setup())).to_bytes())
-        .unwrap();
+    writer.write(&dummy_setup().frame().to_bytes()).unwrap();
     drop(writer); // Coordinator dies without a word.
     drop(reader);
 
@@ -353,29 +351,23 @@ fn worker_survives_coordinator_disconnect() {
     assert!(status.success(), "disconnected worker exited {status:?}");
 }
 
-fn dummy_setup() -> WorkerSetup {
-    WorkerSetup {
-        job: 9,
-        num_tasks: 1,
+fn dummy_setup() -> Setup {
+    let cfg = IterConfig::new("halve", 1, 4).with_checkpoint_interval(0);
+    Setup {
         epoch: 0,
-        one2all: false,
-        sync: false,
-        distance_threshold: None,
-        max_iterations: 4,
-        checkpoint_interval: 0,
-        num_state_parts: 1,
-        state_dir: "/drain/in/state".into(),
-        static_dir: "/drain/in/static".into(),
-        output_dir: "/drain/out".into(),
-        kills: vec![],
-        hangs: vec![],
-        delays: vec![],
-        speed: 1.0,
-        crash_after: None,
-        accumulative: false,
-        delta_batch: 0,
-        check_every: 1,
-        incremental: false,
+        cfg: PairCfg::from_config(&cfg, 1, false),
+        dirs: PairDirs {
+            state_dir: "/drain/in/state".into(),
+            static_dir: "/drain/in/static".into(),
+            output_dir: "/drain/out".into(),
+        },
+        plan: PairPlan {
+            kills: vec![],
+            hangs: vec![],
+            delays: vec![],
+            speed: 1.0,
+            crash_after: None,
+        },
     }
 }
 

@@ -377,7 +377,6 @@ fn chain_incremental(
 
     let (cold, mut fix) = converge_and_preserve(runner, job, base, cfg, "/chain").unwrap();
     let mut prev_static = inc_dirs("/chain").static_;
-    let inc_cfg = cfg.clone().with_incremental_mode();
     let mut clock = TaskClock::default();
     let mut last = cold;
     for (i, delta) in deltas.iter().enumerate() {
@@ -385,7 +384,7 @@ fn chain_incremental(
         let out = runner
             .run_incremental(
                 job,
-                &inc_cfg,
+                cfg,
                 &fix,
                 &prev_static,
                 delta,
@@ -474,12 +473,10 @@ fn delta_validation_rejects_unsupported_combos_on_every_engine() {
     );
 
     // Config-level combos are rejected before any engine is involved.
-    for bad in [
-        acc.clone().with_one2all(),
-        acc.clone().with_sync_maps(),
-        acc.clone().with_check_every(0),
-        IterConfig::new("ssspd", 2, 10).with_accumulative_mode(),
-    ] {
-        expect_config(bad.validate(&[]), "accumulative");
-    }
+    expect_config(
+        IterConfig::new("ssspd", 2, 10)
+            .with_accumulative_mode()
+            .validate(&[]),
+        "accumulative",
+    );
 }

@@ -7,7 +7,7 @@
 #   ./verify.sh            # everything (fmt lint build test faults bench …)
 #   ./verify.sh fmt        # rustfmt check
 #   ./verify.sh lint       # clippy, warnings denied
-#   ./verify.sh build      # release build of the whole workspace
+#   ./verify.sh build      # release build of the workspace + perfbench
 #   ./verify.sh test       # debug test suite + release cross-engine suite
 #   ./verify.sh faults     # fault-injection suites, serial, under timeout
 #   ./verify.sh bench      # smoke-run every experiment binary at tiny size
@@ -35,6 +35,11 @@ cmd_lint() {
 
 cmd_build() {
   cargo build --release --workspace
+  # The frozen benchmark harness builds the workspace crates by path: a
+  # public-API change that breaks it must fail here, not in the
+  # benchmark pipeline. Its target dir sits under the CI-cached target.
+  cargo build --release --offline --manifest-path perfbench/Cargo.toml \
+    --target-dir target/perfbench
 }
 
 # Every suite runs in exactly one CI job: the packages, test targets and
